@@ -32,8 +32,7 @@ from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
                      UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    TGLDD, ExponentialSeries, ThermalContext,
-                    eval_spectral_density, series_eval)
+                    TGLDD, ExponentialSeries, ThermalContext, series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -94,10 +93,6 @@ class AlphaSamples:
 # quadrature route
 # ---------------------------------------------------------------------------
 
-def _terms_of(J):
-    return J.terms
-
-
 def _j_over_omega_limit(J, ctx):
     """lim_{w->0+} J(w)/w, or inf when the limit diverges."""
     if isinstance(J, GLDD):
@@ -150,16 +145,16 @@ def _frequency_scale(J, ctx):
 def _make_real_integrand(J, ctx):
     bh = ctx.beta_hbar
     lim = _j_over_omega_limit(J, ctx)
+    j = J.scalar(ctx)
+    small_x_factor = 2.0 / (bh * math.pi)
 
     def g(w):
         x = bh * w / 2.0
         if x < 1e-8:
             if w == 0.0:
-                jw_over_w = lim
-            else:
-                jw_over_w = eval_spectral_density(J, w, ctx) / w
-            return (2.0 / (bh * np.pi)) * jw_over_w
-        return eval_spectral_density(J, w, ctx) / np.tanh(x) / np.pi
+                return small_x_factor * lim
+            return small_x_factor * (j(w) / w)
+        return j(w) / math.tanh(x) / math.pi
 
     return g
 
@@ -198,6 +193,11 @@ def _alpha_scale(J, ctx):
     return max(abs(value), np.finfo(float).tiny)
 
 
+def _default_tol(J, ctx):
+    """The default absolute tolerance of :func:`alpha_quadrature`."""
+    return 1e-10 * _alpha_scale(J, ctx)
+
+
 def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
                      tol: float = None) -> complex:
     """alpha(t) by adaptive quadrature of the defining integral transform.
@@ -209,7 +209,9 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
         Time, t >= 0.
     tol : float, optional
         Absolute tolerance.  Defaults to 1e-10 times a finite proxy for
-        |alpha(0)|.
+        |alpha(0)|.  Computing that default costs one extra quadrature per
+        call, so a loop over a time grid should compute it once (as
+        :func:`converge_series` does) and pass it in.
 
     Raises
     ------
@@ -227,10 +229,11 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
             "J(w) ~ w**s with s <= 0 near w = 0: the response transform "
             "diverges against the coth singularity")
     if tol is None:
-        tol = 1e-10 * _alpha_scale(J, ctx)
+        tol = _default_tol(J, ctx)
 
     g_re = _make_real_integrand(J, ctx)
-    g_im = lambda w: eval_spectral_density(J, w, ctx) / np.pi
+    j = J.scalar(ctx)
+    g_im = lambda w: j(w) / math.pi
 
     if isinstance(J, Tabulated):
         a, b = 0.0, float(J.omega[-1])
@@ -267,9 +270,9 @@ def _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, g_im):
     if t == 0.0:
         re = head(g_re, lambda _: 1.0) + _quad(g_re, cut, np.inf, epsabs=tol / 2)
         return complex(re, 0.0)
-    re = head(g_re, np.cos) \
+    re = head(g_re, math.cos) \
         + _quad(g_re, cut, np.inf, weight="cos", wvar=t, epsabs=tol / 2)
-    im = head(g_im, np.sin) \
+    im = head(g_im, math.sin) \
         + _quad(g_im, cut, np.inf, weight="sin", wvar=t, epsabs=tol / 2)
     return complex(re, -im)
 
@@ -511,7 +514,8 @@ def _series_builder_for(J):
     if isinstance(J, MeierTannor):
         return alpha_series_mt
     raise InvalidInputError(
-        "converge_series supports the GLDD, TGLDD and MeierTannor families")
+        "analytic series exist only for the GLDD, TGLDD and MeierTannor "
+        f"families, got {type(J).__name__}")
 
 
 def default_time_grid(ctx: ThermalContext, points: int = 201):
@@ -541,9 +545,10 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
 
     refs = np.empty(t_grid.size, dtype=complex)
     mask = np.ones(t_grid.size, dtype=bool)
+    quad_tol = _default_tol(J, ctx)
     for i, t in enumerate(t_grid):
         try:
-            refs[i] = alpha_quadrature(J, ctx, float(t))
+            refs[i] = alpha_quadrature(J, ctx, float(t), tol=quad_tol)
         except AccuracyError:
             mask[i] = False
     if not mask.any():

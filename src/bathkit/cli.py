@@ -270,13 +270,20 @@ def _alpha_function(spec, method, tol):
         except ConvergenceError as exc:
             print(f"series construction failed ({exc}); "
                   "falling back to quadrature", file=sys.stderr)
-            return (lambda t: bcf.alpha_quadrature(J, ctx, t)), "quadrature"
+            return _quadrature_function(J, ctx), "quadrature"
         return (lambda t: complex(series(t))), "series"
     if method == "closed":
         return (lambda t: bcf.alpha_powerlaw_closed_form(J, ctx, t)), "closed"
     if method == "quadrature":
-        return (lambda t: bcf.alpha_quadrature(J, ctx, t)), "quadrature"
+        return _quadrature_function(J, ctx), "quadrature"
     raise InvalidInputError(f"task.method: unknown method {method!r}")
+
+
+def _quadrature_function(J, ctx):
+    """t -> alpha(t) by quadrature, with the default tolerance of
+    :func:`bcf.alpha_quadrature` computed once for the whole grid."""
+    tol = bcf._default_tol(J, ctx)
+    return lambda t: bcf.alpha_quadrature(J, ctx, t, tol=tol)
 
 
 def _cmd_alpha(args):

@@ -17,11 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from .bcf import AlphaSamples, alpha_series_gldd, alpha_series_mt, \
-    alpha_series_tgldd
+from .bcf import AlphaSamples, _series_builder_for
 from .errors import InvalidInputError, ZeroAmplitudeError
-from .model import (GLDD, MeierTannor, TGLDD, ExponentialSeries,
-                    ThermalContext, series_eval)
+from .model import ExponentialSeries, ThermalContext, series_eval
 
 __all__ = [
     "FitConfig",
@@ -183,15 +181,7 @@ def objective_jacobian(params, samples: AlphaSamples) -> np.ndarray:
 def starting_values_pade(J, ctx: ThermalContext, K: int) -> ExponentialSeries:
     """Analytic starting series for a structured Lorentzian density: the
     2h pole-pair terms plus K - 2h approximant terms."""
-    if isinstance(J, GLDD):
-        builder = alpha_series_gldd
-    elif isinstance(J, TGLDD):
-        builder = alpha_series_tgldd
-    elif isinstance(J, MeierTannor):
-        builder = alpha_series_mt
-    else:
-        raise InvalidInputError(
-            "starting_values_pade requires a GLDD, TGLDD or MeierTannor density")
+    builder = _series_builder_for(J)
     n_pairs = 2 * len(J.terms)
     if K < n_pairs:
         raise InvalidInputError(

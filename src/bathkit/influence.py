@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.integrate as _si
 
+from .bcf import _j_over_omega_limit
 from .errors import AccuracyError, DivergenceError, InvalidInputError
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    TGLDD, ExponentialSeries, ThermalContext,
-                    eval_spectral_density)
+                    TGLDD, ExponentialSeries, ThermalContext)
 
 __all__ = [
     "EtaGrid",
@@ -206,28 +206,20 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
         if ctx is None:
             raise InvalidInputError(
                 "a ThermalContext is required for the thermally scaled family")
-        bh = ctx.beta_hbar
-
-        def integrand(w):
-            if w == 0.0:
-                return bh / 2.0 / np.pi * sum(
-                    2 * t.lam * t.gamma / (t.gamma**2 + t.omega_tilde**2)
-                    for t in J.terms)
-            return eval_spectral_density(J, w, ctx) / w
-
+        integrand = _over_omega(J.scalar(ctx), _j_over_omega_limit(J, ctx))
         return _quad_lambda(integrand, 0.0, np.inf)
     if isinstance(J, Tabulated):
         if J.omega[0] == 0.0 and J.j[0] != 0.0:
             raise DivergenceError(
                 "tabulated J(0) != 0: the reorganization integral diverges")
-
-        def integrand(w):
-            if w == 0.0:
-                return 0.0
-            return eval_spectral_density(J, w) / w
-
+        integrand = _over_omega(J.scalar(), 0.0)
         return _quad_lambda(integrand, 0.0, float(J.omega[-1]))
     raise InvalidInputError(f"unknown spectral density {J!r}")
+
+
+def _over_omega(j, at_zero):
+    """The float integrand w -> j(w)/w, equal to ``at_zero`` at w = 0."""
+    return lambda w: j(w) / w if w != 0.0 else at_zero
 
 
 def _quad_lambda(f, a, b):

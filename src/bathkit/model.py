@@ -7,8 +7,9 @@ appears, so nothing in the library assumes natural units.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -109,6 +110,23 @@ def _check_terms(terms):
     return terms
 
 
+def _scalar_lorentzian_sum(terms):
+    """Pure-float w -> sum of the shifted-Lorentzian pairs of ``terms``,
+    with each term packed as (lam*gamma, gamma**2, omega_tilde)."""
+    packed = tuple((t.lam * t.gamma, t.gamma**2, t.omega_tilde) for t in terms)
+
+    def total(w):
+        out = 0.0
+        for lam_gamma, gamma2, center in packed:
+            below = w - center
+            above = w + center
+            out += lam_gamma / (gamma2 + below * below) \
+                + lam_gamma / (gamma2 + above * above)
+        return out
+
+    return total
+
+
 @dataclass(frozen=True)
 class GLDD:
     """Generalized Lorentz-Drude/Debye spectral density.
@@ -121,6 +139,15 @@ class GLDD:
 
     def __init__(self, terms: Sequence[LorentzianTerm]):
         object.__setattr__(self, "terms", _check_terms(terms))
+
+    def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
+        """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed.
+
+        The integrand of every quadrature calls this, so it avoids the
+        per-call array overhead of :func:`eval_spectral_density`.
+        """
+        lorentzians = _scalar_lorentzian_sum(self.terms)
+        return lambda w: w / math.pi * lorentzians(w)
 
 
 @dataclass(frozen=True)
@@ -137,6 +164,15 @@ class TGLDD:
     def __init__(self, terms: Sequence[LorentzianTerm]):
         object.__setattr__(self, "terms", _check_terms(terms))
 
+    def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
+        """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is required."""
+        if ctx is None:
+            raise InvalidInputError(
+                "a ThermalContext is required to evaluate a TGLDD density")
+        bh = ctx.beta_hbar
+        lorentzians = _scalar_lorentzian_sum(self.terms)
+        return lambda w: math.tanh(bh * w / 2.0) / math.pi * lorentzians(w)
+
 
 @dataclass(frozen=True)
 class MeierTannor:
@@ -150,6 +186,21 @@ class MeierTannor:
     def __init__(self, terms: Sequence[LorentzianTerm]):
         object.__setattr__(self, "terms", _check_terms(terms))
 
+    def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
+        """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
+        packed = tuple((t.lam, t.gamma**2, t.omega_tilde) for t in self.terms)
+
+        def j(w):
+            total = 0.0
+            for lam, gamma2, center in packed:
+                above = w + center
+                below = w - center
+                total += lam / ((gamma2 + above * above)
+                                * (gamma2 + below * below))
+            return math.pi * w / 2.0 * total
+
+        return j
+
 
 @dataclass(frozen=True)
 class PowerLaw:
@@ -160,6 +211,21 @@ class PowerLaw:
     @classmethod
     def create(cls, amplitude, exponent, cutoff, stretching=1.0):
         return cls(PowerLawCutoff(amplitude, exponent, cutoff, stretching))
+
+    def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
+        """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
+        p = self.params
+        amplitude, exponent = p.amplitude, p.exponent
+        cutoff, stretching = p.cutoff, p.stretching
+        at_zero = amplitude * 0.0**exponent
+
+        def j(w):
+            if w == 0.0:
+                return at_zero
+            return amplitude * w**exponent \
+                * math.exp(-((w / cutoff) ** stretching))
+
+        return j
 
 
 @dataclass(frozen=True)
@@ -189,6 +255,12 @@ class Tabulated:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "j", j)
 
+    def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
+        """Float closure w -> J(w) (linear interpolation); ``ctx`` is not
+        needed."""
+        omega, j = self.omega, self.j
+        return lambda w: float(np.interp(w, omega, j, left=0.0, right=0.0))
+
 
 SpectralDensity = Union[GLDD, TGLDD, MeierTannor, PowerLaw, Tabulated]
 
@@ -207,7 +279,9 @@ def eval_spectral_density(J: SpectralDensity, omega, ctx: ThermalContext = None)
     """Evaluate a spectral density at frequency ``omega`` (scalar or array).
 
     ``ctx`` is required for the thermally scaled (:class:`TGLDD`) family,
-    whose definition carries tanh(beta*hbar*w/2).
+    whose definition carries tanh(beta*hbar*w/2).  Each family's ``scalar``
+    method returns the same function as a pure-float closure for quadrature
+    callbacks; this array evaluator is the reference it is tested against.
     """
     omega = np.asarray(omega, dtype=float)
     if isinstance(J, GLDD):

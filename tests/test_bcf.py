@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import bathkit as bk
+from bathkit import bcf
 from bathkit.bcf import default_time_grid
 
 
@@ -43,6 +44,18 @@ class TestAlphaSamples:
 
 
 class TestAlphaQuadrature:
+    @pytest.mark.parametrize("J", [
+        bk.GLDD([bk.LorentzianTerm(1.0, 1.0), bk.LorentzianTerm(0.4, 0.7, 2.5)]),
+        bk.MeierTannor([bk.LorentzianTerm(0.9, 1.2, 1.7)]),
+        bk.PowerLaw.create(0.7, 0.5, 3.0),
+    ], ids=["gldd", "meier_tannor", "powerlaw_subohmic"])
+    def test_hoisted_tolerance_matches_default(self, J):
+        tol = bcf._default_tol(J, CTX)
+        assert tol == 1e-10 * bcf._alpha_scale(J, CTX)
+        for t in (0.4, 2.5):
+            assert bk.alpha_quadrature(J, CTX, t, tol=tol) \
+                == bk.alpha_quadrature(J, CTX, t)
+
     def test_imag_zero_at_t0(self):
         for J in (bk.PowerLaw.create(1.0, 2.0, 1.0),
                   bk.Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])):
@@ -297,3 +310,16 @@ class TestConvergeSeries:
     def test_unsupported_family(self):
         with pytest.raises(bk.InvalidInputError):
             bk.converge_series(bk.PowerLaw.create(1.0, 1.0, 1.0), CTX, 1e-4)
+
+    def test_tolerance_proxy_computed_once_per_grid(self, monkeypatch):
+        calls = []
+        alpha_scale = bcf._alpha_scale
+
+        def counted(J, ctx):
+            calls.append(J)
+            return alpha_scale(J, ctx)
+
+        monkeypatch.setattr(bcf, "_alpha_scale", counted)
+        with pytest.warns(UserWarning, match="excluded"):
+            bk.converge_series(DRUDE, CTX, 1e-2)
+        assert calls == [DRUDE]

@@ -92,6 +92,41 @@ class TestEvalSpectralDensity:
                 cls([])
 
 
+SCALAR_CTX = bk.ThermalContext(beta=1.7, hbar=0.9)
+SCALAR_TERMS = [bk.LorentzianTerm(0.8, 1.5, 2.0), bk.LorentzianTerm(0.3, 0.4)]
+SCALAR_OMEGA = np.linspace(0.0, 30.0, 61)
+SCALAR_DENSITIES = {
+    "gldd": bk.GLDD(SCALAR_TERMS),
+    "tgldd": bk.TGLDD(SCALAR_TERMS),
+    "meier_tannor": bk.MeierTannor(SCALAR_TERMS),
+    "powerlaw_ohmic": bk.PowerLaw.create(1.3, 1.0, 2.0),
+    "powerlaw_subohmic": bk.PowerLaw.create(0.7, 0.5, 3.0),
+    "powerlaw_flat": bk.PowerLaw.create(0.6, 0.0, 2.0),
+    "powerlaw_stretched": bk.PowerLaw.create(1.2, 2.5, 1.5, 2.0),
+    "tabulated": bk.Tabulated(SCALAR_OMEGA,
+                              SCALAR_OMEGA * np.exp(-SCALAR_OMEGA / 4.0)),
+}
+# w = 0, the x < 1e-8 branch of the quadrature integrand, and a spread of
+# (0, 50] that crosses every centre frequency and the tabulated range
+SCALAR_POINTS = np.concatenate((
+    [0.0, 1e-9], np.geomspace(1e-6, 1.0, 13), np.linspace(0.05, 50.0, 97)))
+
+
+class TestScalarClosure:
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    def test_matches_array_evaluator(self, name):
+        J = SCALAR_DENSITIES[name]
+        j = J.scalar(SCALAR_CTX)
+        got = [j(float(w)) for w in SCALAR_POINTS]
+        assert all(type(v) is float for v in got)
+        ref = bk.eval_spectral_density(J, SCALAR_POINTS, SCALAR_CTX)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0.0)
+
+    def test_tgldd_needs_context(self):
+        with pytest.raises(bk.InvalidInputError):
+            SCALAR_DENSITIES["tgldd"].scalar()
+
+
 class TestBoseEinstein:
     def test_large_argument_limit(self):
         assert bk.bose_einstein(50.0) == pytest.approx(1.0, rel=1e-14)
