@@ -12,6 +12,9 @@ Subcommands map one-to-one onto the library layers:
 Problem specifications are INI-style ``key = value`` files (see the README
 for the grammar).  All tables are CSV with a header row and 17-significant-
 digit floats, so every emitted table round-trips through the input parsers.
+``eta`` writes its rows in this order: ``diag`` k = 0..N, ``lag`` m = 1..N,
+then (Strang only) ``k0`` and ``Nk`` interleaved for each k = 1..N-1 and a
+last ``N0`` row.  ``pade``'s ``zeta_per_time`` cell is empty on its last row.
 Exit codes: 0 success, 2 usage, 3 invalid input (message names the field),
 4 numerical failure.
 """
@@ -34,24 +37,39 @@ EXIT_USAGE = 2
 EXIT_INVALID = 3
 EXIT_NUMERICAL = 4
 
-_FMT = "%.17g"
-
 
 def _fmt(x) -> str:
-    return _FMT % float(x)
-
-
-def _write_csv(stream, header, rows):
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([c if isinstance(c, str) else _fmt(c) for c in row])
+    return "%.17g" % float(x)
 
 
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
+
+
+def _write_table(path, header, blocks):
+    """Write a CSV table to ``path`` (standard output for None or "-").
+
+    ``blocks`` is a sequence of ``(fmt, columns)``.  ``fmt`` formats one
+    record; it may span several lines and carry constant cells.  ``columns``
+    fill its ``%`` fields in order, one entry per record, and each block is
+    formatted by a single ``%`` operation.  No cell needs CSV quoting (labels,
+    integers and ``%.17g`` floats, ``nan`` and ``inf`` included, hold no
+    comma, quote or newline), so the bytes are those ``csv.writer`` writes.
+    """
+    out, close = _open_out(path)
+    try:
+        out.write(",".join(header) + "\n")
+        for fmt, columns in blocks:
+            ncols, nrows = len(columns), len(columns[0])
+            flat = [None] * (ncols * nrows)
+            for i, col in enumerate(columns):
+                flat[i::ncols] = np.asarray(col).tolist()
+            out.write((fmt * nrows) % tuple(flat))
+    finally:
+        if close:
+            out.close()
 
 
 def _read_csv_columns(path, min_cols, field):
@@ -231,17 +249,13 @@ def _load_series(path, field="series"):
 def _cmd_pade(args):
     ctx = model.ThermalContext(beta=args.beta, hbar=args.hbar)
     params = pade.pade_parameters(args.order, args.stat, ctx)
-    rows = []
-    for i in range(params.order):
-        zeta = _fmt(params.zeta[i]) if i < params.zeta.size else ""
-        rows.append([_fmt(params.xi[i]), _fmt(params.Xi[i]), zeta])
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["xi_per_time", "Xi_dimensionless", "zeta_per_time"],
-                   rows)
-    finally:
-        if close:
-            out.close()
+    # zeta has order - 1 entries: the last row's zeta cell is empty
+    nz = params.zeta.size
+    _write_table(args.out,
+                 ["xi_per_time", "Xi_dimensionless", "zeta_per_time"],
+                 [("%.17g,%.17g,%.17g\n",
+                   (params.xi[:nz], params.Xi[:nz], params.zeta)),
+                  ("%.17g,%.17g,\n", (params.xi[nz:], params.Xi[nz:]))])
     return EXIT_OK
 
 
@@ -297,17 +311,10 @@ def _cmd_alpha(args):
     tol = spec.task_float("tolerance", 1e-6)
     fn, used = _alpha_function(spec, args.method, tol)
     t_grid = np.linspace(0.0, tmax, points)
-    rows = []
-    for t in t_grid:
-        value = fn(float(t))
-        rows.append([t, value.real, value.imag])
+    alpha = np.array([fn(float(t)) for t in t_grid], dtype=complex)
     print(f"alpha evaluated by method: {used}", file=sys.stderr)
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["t", "re_alpha", "im_alpha"], rows)
-    finally:
-        if close:
-            out.close()
+    _write_table(args.out, ["t", "re_alpha", "im_alpha"],
+                 [("%.17g,%.17g,%.17g\n", (t_grid, alpha.real, alpha.imag))])
     return EXIT_OK
 
 
@@ -363,14 +370,10 @@ def _cmd_fit(args):
     print(f"best: K={best.series.count}, scaled RMS "
           f"{best.rms_residual:.6e}", file=sys.stderr)
 
-    rows = [[p.real, p.imag, w.real, w.imag]
-            for p, w in zip(best.series.p, best.series.omega)]
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["re_p", "im_p", "re_omega", "im_omega"], rows)
-    finally:
-        if close:
-            out.close()
+    p, omega = best.series.p, best.series.omega
+    _write_table(args.out, ["re_p", "im_p", "re_omega", "im_omega"],
+                 [("%.17g,%.17g,%.17g,%.17g\n",
+                   (p.real, p.imag, omega.real, omega.imag))])
     return EXIT_OK
 
 
@@ -381,12 +384,7 @@ def _cmd_jw(args):
         raise InvalidInputError("jw: need --wmax > 0 and --points >= 2")
     w_grid = np.linspace(0.0, args.wmax, args.points)
     j = bcf.spectral_density_from_series(series, ctx, w_grid)
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["omega", "j"], list(zip(w_grid, j)))
-    finally:
-        if close:
-            out.close()
+    _write_table(args.out, ["omega", "j"], [("%.17g,%.17g\n", (w_grid, j))])
     return EXIT_OK
 
 
@@ -403,25 +401,16 @@ def _cmd_eta(args):
         ctx = model.ThermalContext(beta=args.beta, hbar=args.hbar)
         grid = influence.quapi_correct(grid, args.lambda_value, ctx)
 
-    rows = []
-    for k in range(grid.N + 1):
-        rows.append(["diag", str(k), grid.diag[k].real, grid.diag[k].imag])
-    for m in range(1, grid.N + 1):
-        value = grid.kernel(m)
-        rows.append(["lag", str(m), value.real, value.imag])
+    N, diag, lag = grid.N, grid.diag, grid.lag_kernel
+    blocks = [("diag,%d,%.17g,%.17g\n", (range(N + 1), diag.real, diag.imag)),
+              ("lag,%d,%.17g,%.17g\n", (range(1, N + 1), lag.real, lag.imag))]
     if grid.splitting == "strang":
-        for k in range(1, grid.N):
-            rows.append(["k0", str(k),
-                         grid.eta_k0[k - 1].real, grid.eta_k0[k - 1].imag])
-            rows.append(["Nk", str(k),
-                         grid.eta_Nk[k - 1].real, grid.eta_Nk[k - 1].imag])
-        rows.append(["N0", "0", grid.eta_N0.real, grid.eta_N0.imag])
-    out, close = _open_out(args.out)
-    try:
-        _write_csv(out, ["table", "index", "re_eta", "im_eta"], rows)
-    finally:
-        if close:
-            out.close()
+        k0, Nk, N0 = grid.eta_k0, grid.eta_Nk, grid.eta_N0
+        blocks += [("k0,%d,%.17g,%.17g\nNk,%d,%.17g,%.17g\n",
+                    (range(1, N), k0.real, k0.imag,
+                     range(1, N), Nk.real, Nk.imag)),
+                   ("N0,0,%.17g,%.17g\n", ([N0.real], [N0.imag]))]
+    _write_table(args.out, ["table", "index", "re_eta", "im_eta"], blocks)
     return EXIT_OK
 
 

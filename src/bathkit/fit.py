@@ -39,9 +39,12 @@ class FitConfig:
     """Solver settings for :func:`fit_exponentials`.
 
     ``epsilon`` is the decay-constraint margin on the scaled problem, i.e.
-    Re(omega * t_end) <= -epsilon.  ``enforce_p1_positive`` defaults to
-    automatic: on for single-term fits, where a negative weight can only
-    flip the sign of the whole model, off otherwise.
+    Re(omega * t_end) <= -epsilon.  That bound is hard, so ``solver`` must be
+    ``"trf"``, SciPy's bounded trust-region method; ``"lm"`` is rejected
+    because SciPy's Levenberg-Marquardt takes no bounds.
+    ``enforce_p1_positive`` defaults to automatic: on for single-term fits,
+    where a negative weight can only flip the sign of the whole model, off
+    otherwise.
     """
 
     K: int = 1
@@ -61,9 +64,11 @@ class FitConfig:
             raise InvalidInputError("epsilon must be positive")
         if not (self.residual_tolerance > 0 and self.parameter_tolerance > 0):
             raise InvalidInputError("tolerances must be positive")
-        if self.solver not in ("trf", "lm"):
+        if self.solver != "trf":
             raise InvalidInputError(
-                f"solver must be 'trf' or 'lm', got {self.solver!r}")
+                f"solver must be 'trf', got {self.solver!r}: the decay bound "
+                "Re(omega') <= -epsilon is hard, and SciPy's 'lm' "
+                "(Levenberg-Marquardt) takes no bounds")
 
     @property
     def p1_positive(self) -> bool:
@@ -325,7 +330,7 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
 
     result = least_squares(
         objective_residuals, x0, jac=objective_jacobian, args=(scaled,),
-        bounds=(lb, ub), method="trf",
+        bounds=(lb, ub), method=config.solver,
         ftol=config.residual_tolerance, xtol=config.parameter_tolerance,
         gtol=1e-14, max_nfev=config.max_iterations)
 
