@@ -93,36 +93,6 @@ class AlphaSamples:
 # quadrature route
 # ---------------------------------------------------------------------------
 
-def _j_over_omega_limit(J, ctx):
-    """lim_{w->0+} J(w)/w, or inf when the limit diverges."""
-    if isinstance(J, GLDD):
-        return sum(2 * t.lam * t.gamma / (t.gamma**2 + t.omega_tilde**2)
-                   for t in J.terms) / np.pi
-    if isinstance(J, TGLDD):
-        return ctx.beta_hbar / 2.0 / np.pi * sum(
-            2 * t.lam * t.gamma / (t.gamma**2 + t.omega_tilde**2)
-            for t in J.terms)
-    if isinstance(J, MeierTannor):
-        return np.pi / 2.0 * sum(
-            t.lam / (t.gamma**2 + t.omega_tilde**2) ** 2 for t in J.terms)
-    if isinstance(J, PowerLaw):
-        s = J.params.exponent
-        if s > 1:
-            return 0.0
-        if s == 1:
-            return J.params.amplitude
-        return math.inf
-    if isinstance(J, Tabulated):
-        if J.omega[0] > 0.0:
-            return 0.0  # interpolation is 0 below the first sample
-        if J.j[0] != 0.0:
-            return math.inf
-        if J.omega.size < 2:
-            return 0.0
-        return (J.j[1] - J.j[0]) / (J.omega[1] - J.omega[0])
-    raise InvalidInputError(f"unknown spectral density {J!r}")
-
-
 def _small_omega_exponent(J):
     """Leading power of J(w) as w -> 0 (1 for the Lorentzian families)."""
     if isinstance(J, PowerLaw):
@@ -140,23 +110,6 @@ def _frequency_scale(J, ctx):
     if isinstance(J, Tabulated):
         return float(J.omega[-1])
     return 1.0 / ctx.beta_hbar
-
-
-def _make_real_integrand(J, ctx):
-    bh = ctx.beta_hbar
-    lim = _j_over_omega_limit(J, ctx)
-    j = J.scalar(ctx)
-    small_x_factor = 2.0 / (bh * math.pi)
-
-    def g(w):
-        x = bh * w / 2.0
-        if x < 1e-8:
-            if w == 0.0:
-                return small_x_factor * lim
-            return small_x_factor * (j(w) / w)
-        return j(w) / math.tanh(x) / math.pi
-
-    return g
 
 
 def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
@@ -185,7 +138,7 @@ def _alpha_scale(J, ctx):
     characteristic frequency, which stays finite even for densities whose
     exact alpha(0) diverges logarithmically.
     """
-    g = _make_real_integrand(J, ctx)
+    g, _ = J.quadrature_integrands(ctx)
     w_hi = 50.0 * max(_frequency_scale(J, ctx), 1.0 / ctx.beta_hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -231,50 +184,50 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
     if tol is None:
         tol = _default_tol(J, ctx)
 
-    g_re = _make_real_integrand(J, ctx)
-    j = J.scalar(ctx)
-    g_im = lambda w: j(w) / math.pi
+    # the sine transform integrates J itself to pi*tol and divides by pi
+    g_re, j = J.quadrature_integrands(ctx)
 
     if isinstance(J, Tabulated):
         a, b = 0.0, float(J.omega[-1])
         if t == 0.0:
             return complex(_quad(g_re, a, b, epsabs=tol), 0.0)
         re = _quad(g_re, a, b, weight="cos", wvar=t, epsabs=tol)
-        im = _quad(g_im, a, b, weight="sin", wvar=t, epsabs=tol)
-        return complex(re, -im)
+        im = _quad(j, a, b, weight="sin", wvar=t, epsabs=math.pi * tol)
+        return complex(re, -im / math.pi)
 
     if isinstance(J, PowerLaw) and J.params.exponent < 1.0:
-        return _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, g_im)
+        return _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, j)
 
     if t == 0.0:
         return complex(_quad(g_re, 0.0, np.inf, epsabs=tol), 0.0)
     re = _quad(g_re, 0.0, np.inf, weight="cos", wvar=t, epsabs=tol)
-    im = _quad(g_im, 0.0, np.inf, weight="sin", wvar=t, epsabs=tol)
-    return complex(re, -im)
+    im = _quad(j, 0.0, np.inf, weight="sin", wvar=t, epsabs=math.pi * tol)
+    return complex(re, -im / math.pi)
 
 
-def _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, g_im):
+def _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, j):
     """Power-law density with 0 < s < 1: the real-part integrand has an
     integrable w**(s-1) singularity at 0.  Substitute u = w**s on a head
     interval to remove it, then integrate the smooth tail as usual."""
     s = J.params.exponent
     cut = J.params.cutoff
 
-    def head(fun, osc):
+    def head(fun, osc, epsabs):
         def integrand(u):
             w = u ** (1.0 / s)
             val = fun(w) * u ** (1.0 / s - 1.0) / s
             return val * osc(w * t)
-        return _quad(integrand, 0.0, cut**s, epsabs=tol / 2)
+        return _quad(integrand, 0.0, cut**s, epsabs=epsabs)
 
     if t == 0.0:
-        re = head(g_re, lambda _: 1.0) + _quad(g_re, cut, np.inf, epsabs=tol / 2)
+        re = head(g_re, lambda _: 1.0, tol / 2) \
+            + _quad(g_re, cut, np.inf, epsabs=tol / 2)
         return complex(re, 0.0)
-    re = head(g_re, math.cos) \
+    re = head(g_re, math.cos, tol / 2) \
         + _quad(g_re, cut, np.inf, weight="cos", wvar=t, epsabs=tol / 2)
-    im = head(g_im, math.sin) \
-        + _quad(g_im, cut, np.inf, weight="sin", wvar=t, epsabs=tol / 2)
-    return complex(re, -im)
+    im = head(j, math.sin, math.pi * tol / 2) \
+        + _quad(j, cut, np.inf, weight="sin", wvar=t, epsabs=math.pi * tol / 2)
+    return complex(re, -im / math.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ def _cmd_pade(args):
 
 
 def _alpha_function(spec, method, tol):
-    """Return (callable t -> complex, method actually used)."""
+    """Return (callable t_grid -> complex array, method actually used)."""
     J = spec.require_density()
     ctx = spec.ctx
     structured = isinstance(J, (model.GLDD, model.TGLDD, model.MeierTannor))
@@ -285,19 +285,26 @@ def _alpha_function(spec, method, tol):
             print(f"series construction failed ({exc}); "
                   "falling back to quadrature", file=sys.stderr)
             return _quadrature_function(J, ctx), "quadrature"
-        return (lambda t: complex(series(t))), "series"
+        return series, "series"
     if method == "closed":
-        return (lambda t: bcf.alpha_powerlaw_closed_form(J, ctx, t)), "closed"
+        return _pointwise(
+            lambda t: bcf.alpha_powerlaw_closed_form(J, ctx, t)), "closed"
     if method == "quadrature":
         return _quadrature_function(J, ctx), "quadrature"
     raise InvalidInputError(f"task.method: unknown method {method!r}")
 
 
+def _pointwise(alpha_at):
+    """The grid function of a route that computes alpha one time at a time."""
+    return lambda t_grid: np.array([alpha_at(float(t)) for t in t_grid],
+                                   dtype=complex)
+
+
 def _quadrature_function(J, ctx):
-    """t -> alpha(t) by quadrature, with the default tolerance of
+    """t_grid -> alpha by quadrature, with the default tolerance of
     :func:`bcf.alpha_quadrature` computed once for the whole grid."""
     tol = bcf._default_tol(J, ctx)
-    return lambda t: bcf.alpha_quadrature(J, ctx, t, tol=tol)
+    return _pointwise(lambda t: bcf.alpha_quadrature(J, ctx, t, tol=tol))
 
 
 def _cmd_alpha(args):
@@ -311,7 +318,7 @@ def _cmd_alpha(args):
     tol = spec.task_float("tolerance", 1e-6)
     fn, used = _alpha_function(spec, args.method, tol)
     t_grid = np.linspace(0.0, tmax, points)
-    alpha = np.array([fn(float(t)) for t in t_grid], dtype=complex)
+    alpha = fn(t_grid)
     print(f"alpha evaluated by method: {used}", file=sys.stderr)
     _write_table(args.out, ["t", "re_alpha", "im_alpha"],
                  [("%.17g,%.17g,%.17g\n", (t_grid, alpha.real, alpha.imag))])
@@ -330,7 +337,7 @@ def _cmd_fit(args):
         tol = spec.task_float("tolerance", 1e-6)
         fn, used = _alpha_function(spec, "auto", tol)
         t = np.linspace(0.0, tmax, points)
-        alpha = np.array([fn(float(ti)) for ti in t])
+        alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
         if alpha[0].imag != 0.0:
             # the exact transform has no sine term at t = 0; a residual
@@ -496,18 +503,6 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    # BATHKIT_THREADS caps worker parallelism; the current implementation is
-    # single-threaded, so any valid value is accepted as a no-op
-    threads = os.environ.get("BATHKIT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"bathkit: invalid BATHKIT_THREADS={threads!r}",
-                  file=sys.stderr)
-            return EXIT_INVALID
-
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.integrate as _si
 
-from .bcf import _j_over_omega_limit
 from .errors import AccuracyError, DivergenceError, InvalidInputError
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
                     TGLDD, ExponentialSeries, ThermalContext)
@@ -206,7 +205,7 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
         if ctx is None:
             raise InvalidInputError(
                 "a ThermalContext is required for the thermally scaled family")
-        integrand = _over_omega(J.scalar(ctx), _j_over_omega_limit(J, ctx))
+        integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
         return _quad_lambda(integrand, 0.0, np.inf)
     if isinstance(J, Tabulated):
         if J.omega[0] == 0.0 and J.j[0] != 0.0:

@@ -3,6 +3,19 @@
 Units are a single consistent system chosen by the caller.  ``hbar`` defaults
 to 1 but is carried explicitly everywhere the combination ``beta * hbar``
 appears, so nothing in the library assumes natural units.
+
+Every density family evaluates itself for the quadrature route through three
+methods.  ``scalar(ctx)`` is the pure-float closure w -> J(w), w >= 0.
+``j_over_omega_limit(ctx)`` is lim_{w->0+} J(w)/w.
+``quadrature_integrands(ctx)`` returns the pair (re, j) of the transform
+alpha(t) = int_0^inf [re(w) cos(wt) - i j(w) sin(wt) / pi] dw, with
+
+    re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j = scalar(ctx).
+
+``re`` and ``j`` are each one Python frame with the density written out in
+it (the Lorentzian sums too, rather than called through a shared helper) and
+with ``math`` functions bound as closure variables, since QUADPACK calls them
+about a thousand times per alpha(t) value.
 """
 
 from __future__ import annotations
@@ -110,21 +123,21 @@ def _check_terms(terms):
     return terms
 
 
-def _scalar_lorentzian_sum(terms):
-    """Pure-float w -> sum of the shifted-Lorentzian pairs of ``terms``,
-    with each term packed as (lam*gamma, gamma**2, omega_tilde)."""
-    packed = tuple((t.lam * t.gamma, t.gamma**2, t.omega_tilde) for t in terms)
+def _packed_lorentzians(terms):
+    """``terms`` as (lam*gamma, gamma**2, omega_tilde) float triples."""
+    return tuple((t.lam * t.gamma, t.gamma**2, t.omega_tilde) for t in terms)
 
-    def total(w):
-        out = 0.0
-        for lam_gamma, gamma2, center in packed:
-            below = w - center
-            above = w + center
-            out += lam_gamma / (gamma2 + below * below) \
-                + lam_gamma / (gamma2 + above * above)
-        return out
 
-    return total
+def _lorentzian_sum_at_zero(terms):
+    """sum_h 2*lam*gamma / (gamma^2 + w0^2), the Lorentzian sum at w = 0."""
+    return sum(2 * t.lam * t.gamma / (t.gamma**2 + t.omega_tilde**2)
+               for t in terms)
+
+
+def _real_integrand_at_zero(J, ctx):
+    """re(0) of the quadrature integrands: J(w) coth(beta*hbar*w/2) / pi
+    tends to 2/(beta*hbar*pi) * lim_{w->0+} J(w)/w."""
+    return 2.0 / (ctx.beta_hbar * math.pi) * J.j_over_omega_limit(ctx)
 
 
 @dataclass(frozen=True)
@@ -146,8 +159,43 @@ class GLDD:
         The integrand of every quadrature calls this, so it avoids the
         per-call array overhead of :func:`eval_spectral_density`.
         """
-        lorentzians = _scalar_lorentzian_sum(self.terms)
-        return lambda w: w / math.pi * lorentzians(w)
+        packed = _packed_lorentzians(self.terms)
+        pi = math.pi
+
+        def j(w):
+            total = 0.0
+            for lam_gamma, gamma2, center in packed:
+                below = w - center
+                above = w + center
+                total += lam_gamma / (gamma2 + below * below) \
+                    + lam_gamma / (gamma2 + above * above)
+            return w / pi * total
+
+        return j
+
+    def j_over_omega_limit(self, ctx: ThermalContext) -> float:
+        """lim_{w->0+} J(w)/w; ``ctx`` is not needed."""
+        return _lorentzian_sum_at_zero(self.terms) / math.pi
+
+    def quadrature_integrands(self, ctx: ThermalContext):
+        """The quadrature integrand pair (re, j); see the module doc."""
+        packed = _packed_lorentzians(self.terms)
+        half_bh = ctx.beta_hbar / 2.0
+        at_zero = _real_integrand_at_zero(self, ctx)
+        pi, tanh = math.pi, math.tanh
+
+        def re(w):
+            if w == 0.0:
+                return at_zero
+            total = 0.0
+            for lam_gamma, gamma2, center in packed:
+                below = w - center
+                above = w + center
+                total += lam_gamma / (gamma2 + below * below) \
+                    + lam_gamma / (gamma2 + above * above)
+            return w / pi * total / tanh(half_bh * w) / pi
+
+        return re, self.scalar(ctx)
 
 
 @dataclass(frozen=True)
@@ -169,9 +217,45 @@ class TGLDD:
         if ctx is None:
             raise InvalidInputError(
                 "a ThermalContext is required to evaluate a TGLDD density")
+        packed = _packed_lorentzians(self.terms)
         bh = ctx.beta_hbar
-        lorentzians = _scalar_lorentzian_sum(self.terms)
-        return lambda w: math.tanh(bh * w / 2.0) / math.pi * lorentzians(w)
+        pi, tanh = math.pi, math.tanh
+
+        def j(w):
+            total = 0.0
+            for lam_gamma, gamma2, center in packed:
+                below = w - center
+                above = w + center
+                total += lam_gamma / (gamma2 + below * below) \
+                    + lam_gamma / (gamma2 + above * above)
+            return tanh(bh * w / 2.0) / pi * total
+
+        return j
+
+    def j_over_omega_limit(self, ctx: ThermalContext) -> float:
+        """lim_{w->0+} J(w)/w = beta*hbar/(2 pi) * (Lorentzian sum at 0)."""
+        return ctx.beta_hbar / 2.0 / math.pi \
+            * _lorentzian_sum_at_zero(self.terms)
+
+    def quadrature_integrands(self, ctx: ThermalContext):
+        """The quadrature integrand pair (re, j); see the module doc.
+
+        coth(beta*hbar*w/2) cancels the tanh of J exactly, so ``re`` is the
+        Lorentzian sum over pi**2: smooth at w = 0 and free of tanh.
+        """
+        packed = _packed_lorentzians(self.terms)
+        pi = math.pi
+
+        def re(w):
+            total = 0.0
+            for lam_gamma, gamma2, center in packed:
+                below = w - center
+                above = w + center
+                total += lam_gamma / (gamma2 + below * below) \
+                    + lam_gamma / (gamma2 + above * above)
+            return total / pi / pi
+
+        return re, self.scalar(ctx)
 
 
 @dataclass(frozen=True)
@@ -189,6 +273,7 @@ class MeierTannor:
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
         packed = tuple((t.lam, t.gamma**2, t.omega_tilde) for t in self.terms)
+        pi = math.pi
 
         def j(w):
             total = 0.0
@@ -197,9 +282,34 @@ class MeierTannor:
                 below = w - center
                 total += lam / ((gamma2 + above * above)
                                 * (gamma2 + below * below))
-            return math.pi * w / 2.0 * total
+            return pi * w / 2.0 * total
 
         return j
+
+    def j_over_omega_limit(self, ctx: ThermalContext) -> float:
+        """lim_{w->0+} J(w)/w; ``ctx`` is not needed."""
+        return math.pi / 2.0 * sum(
+            t.lam / (t.gamma**2 + t.omega_tilde**2) ** 2 for t in self.terms)
+
+    def quadrature_integrands(self, ctx: ThermalContext):
+        """The quadrature integrand pair (re, j); see the module doc."""
+        packed = tuple((t.lam, t.gamma**2, t.omega_tilde) for t in self.terms)
+        half_bh = ctx.beta_hbar / 2.0
+        at_zero = _real_integrand_at_zero(self, ctx)
+        pi, tanh = math.pi, math.tanh
+
+        def re(w):
+            if w == 0.0:
+                return at_zero
+            total = 0.0
+            for lam, gamma2, center in packed:
+                above = w + center
+                below = w - center
+                total += lam / ((gamma2 + above * above)
+                                * (gamma2 + below * below))
+            return pi * w / 2.0 * total / tanh(half_bh * w) / pi
+
+        return re, self.scalar(ctx)
 
 
 @dataclass(frozen=True)
@@ -218,14 +328,40 @@ class PowerLaw:
         amplitude, exponent = p.amplitude, p.exponent
         cutoff, stretching = p.cutoff, p.stretching
         at_zero = amplitude * 0.0**exponent
+        exp = math.exp
 
         def j(w):
             if w == 0.0:
                 return at_zero
-            return amplitude * w**exponent \
-                * math.exp(-((w / cutoff) ** stretching))
+            return amplitude * w**exponent * exp(-((w / cutoff) ** stretching))
 
         return j
+
+    def j_over_omega_limit(self, ctx: ThermalContext) -> float:
+        """lim_{w->0+} J(w)/w: 0 for s > 1, A for s = 1, inf for s < 1."""
+        s = self.params.exponent
+        if s > 1:
+            return 0.0
+        if s == 1:
+            return self.params.amplitude
+        return math.inf
+
+    def quadrature_integrands(self, ctx: ThermalContext):
+        """The quadrature integrand pair (re, j); see the module doc."""
+        p = self.params
+        amplitude, exponent = p.amplitude, p.exponent
+        cutoff, stretching = p.cutoff, p.stretching
+        half_bh = ctx.beta_hbar / 2.0
+        at_zero = _real_integrand_at_zero(self, ctx)
+        pi, tanh, exp = math.pi, math.tanh, math.exp
+
+        def re(w):
+            if w == 0.0:
+                return at_zero
+            return amplitude * w**exponent * exp(-((w / cutoff) ** stretching)) \
+                / tanh(half_bh * w) / pi
+
+        return re, self.scalar(ctx)
 
 
 @dataclass(frozen=True)
@@ -260,6 +396,31 @@ class Tabulated:
         needed."""
         omega, j = self.omega, self.j
         return lambda w: float(np.interp(w, omega, j, left=0.0, right=0.0))
+
+    def j_over_omega_limit(self, ctx: ThermalContext) -> float:
+        """lim_{w->0+} J(w)/w of the interpolant; ``ctx`` is not needed."""
+        if self.omega[0] > 0.0:
+            return 0.0  # interpolation is 0 below the first sample
+        if self.j[0] != 0.0:
+            return math.inf
+        if self.omega.size < 2:
+            return 0.0
+        return float((self.j[1] - self.j[0]) / (self.omega[1] - self.omega[0]))
+
+    def quadrature_integrands(self, ctx: ThermalContext):
+        """The quadrature integrand pair (re, j); see the module doc."""
+        omega, j = self.omega, self.j
+        half_bh = ctx.beta_hbar / 2.0
+        at_zero = _real_integrand_at_zero(self, ctx)
+        pi, tanh, interp = math.pi, math.tanh, np.interp
+
+        def re(w):
+            if w == 0.0:
+                return at_zero
+            return float(interp(w, omega, j, left=0.0, right=0.0)) \
+                / tanh(half_bh * w) / pi
+
+        return re, self.scalar(ctx)
 
 
 SpectralDensity = Union[GLDD, TGLDD, MeierTannor, PowerLaw, Tabulated]
@@ -379,23 +540,25 @@ def series_eval(series: ExponentialSeries, t):
 
     Stable down to Re(w)*t = -700 and beyond (terms underflow to 0, never
     NaN).  Compensated summation is used for more than 16 terms, since fitted
-    series can carry large cancelling weights.
+    series can carry large cancelling weights.  Each time point's terms are
+    summed as one contiguous row, so a grid gives the same bits as evaluating
+    its points one at a time.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if series.count == 0:
         out = np.zeros(t_arr.shape, dtype=complex)
         return out if np.ndim(t) else complex(out[0])
-    w = series.omega[:, None] * t_arr[None, :]
+    w = t_arr[:, None] * series.omega[None, :]
     np.clip(w.real, None, _EXP_CLAMP, out=w.real)
-    terms = series.p[:, None] * np.exp(w)
+    terms = series.p[None, :] * np.exp(w)
     if series.count > 16:
         total = np.zeros(t_arr.shape, dtype=complex)
         comp = np.zeros(t_arr.shape, dtype=complex)
-        for row in terms:
-            y = row - comp
+        for column in terms.T:
+            y = column - comp
             s = total + y
             comp = (s - total) - y
             total = s
     else:
-        total = terms.sum(axis=0)
+        total = terms.sum(axis=1)
     return total if np.ndim(t) else complex(total[0])

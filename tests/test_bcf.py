@@ -43,7 +43,65 @@ class TestAlphaSamples:
             bk.AlphaSamples([0.0, 1.0], [1.0, 0.5], [1.0, -1.0])
 
 
+SLOW_CTX = bk.ThermalContext(beta=1.7, hbar=0.9)
+SLOW_TERMS = [bk.LorentzianTerm(0.8, 1.5, 2.0), bk.LorentzianTerm(0.3, 0.4)]
+SLOW_DENSITIES = {
+    "gldd": bk.GLDD(SLOW_TERMS),
+    "tgldd": bk.TGLDD(SLOW_TERMS),
+    "meier_tannor": bk.MeierTannor(SLOW_TERMS),
+    "powerlaw_ohmic": bk.PowerLaw.create(1.3, 1.0, 2.0),
+    "powerlaw_s2": bk.PowerLaw.create(0.9, 2.0, 1.0),
+    "powerlaw_subohmic": bk.PowerLaw.create(0.7, 0.5, 3.0),
+    "powerlaw_stretched": bk.PowerLaw.create(1.2, 2.5, 1.5, 2.0),
+    "tabulated": bk.Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+}
+
+
+def slow_alpha_quadrature(J, ctx, t, tol):
+    """alpha(t), t > 0, through ``bcf._quad`` with integrands built from the
+    array evaluator, on the intervals :func:`bk.alpha_quadrature` uses."""
+    bh = ctx.beta_hbar
+
+    def re(w):
+        w = max(w, 1e-200)  # J(w)/w has reached its w -> 0+ limit here
+        return bk.eval_spectral_density(J, w, ctx) \
+            / np.tanh(bh * w / 2.0) / np.pi
+
+    def im(w):
+        return bk.eval_spectral_density(J, w, ctx) / np.pi
+
+    def part(f, weight, a, b, epsabs):
+        return bcf._quad(f, a, b, weight=weight, wvar=t, epsabs=epsabs)
+
+    if isinstance(J, bk.PowerLaw) and J.params.exponent < 1.0:
+        s, cut = J.params.exponent, J.params.cutoff
+
+        def head(f, osc):
+            def g(u):
+                w = u ** (1.0 / s)
+                return f(w) * u ** (1.0 / s - 1.0) / s * osc(w * t)
+            return bcf._quad(g, 0.0, cut**s, epsabs=tol / 2)
+
+        return complex(
+            head(re, math.cos) + part(re, "cos", cut, np.inf, tol / 2),
+            -head(im, math.sin) - part(im, "sin", cut, np.inf, tol / 2))
+    upper = float(J.omega[-1]) if isinstance(J, bk.Tabulated) else np.inf
+    return complex(part(re, "cos", 0.0, upper, tol),
+                   -part(im, "sin", 0.0, upper, tol))
+
+
 class TestAlphaQuadrature:
+    @pytest.mark.parametrize("name", sorted(SLOW_DENSITIES))
+    def test_matches_array_evaluator_reference(self, name):
+        J = SLOW_DENSITIES[name]
+        tol = bcf._default_tol(J, SLOW_CTX)
+        times = (0.05, 0.3, 1.0, 2.7, 6.0)
+        got = np.array([bk.alpha_quadrature(J, SLOW_CTX, t, tol=tol)
+                        for t in times])
+        ref = np.array([slow_alpha_quadrature(J, SLOW_CTX, t, tol)
+                        for t in times])
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("J", [
         bk.GLDD([bk.LorentzianTerm(1.0, 1.0), bk.LorentzianTerm(0.4, 0.7, 2.5)]),
         bk.MeierTannor([bk.LorentzianTerm(0.9, 1.2, 1.7)]),

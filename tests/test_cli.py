@@ -100,6 +100,35 @@ class TestAlpha:
         _, body = parse_table(out)
         assert len(body) == 9
 
+    @pytest.mark.filterwarnings("ignore:excluded")
+    @pytest.mark.parametrize("family,terms,tol,large", [
+        ("gldd", [(0.8, 1.5, 2.0), (0.3, 0.4, 0.0)], 1e-6, True),
+        ("tgldd", [(0.6, 1.2, 0.5)], 1e-2, False),
+    ], ids=["gldd_20_terms", "tgldd_6_terms"])
+    def test_series_route_matches_pointwise(self, tmp_path, capsys, family,
+                                            terms, tol, large):
+        # the CLI evaluates the converged series on the whole grid at once;
+        # both the compensated (> 16 terms) and the plain sum give each point
+        # the bits of a one-point evaluation
+        body = "".join(f"term.{k} = {lam!r}, {gam!r}, {w0!r}\n"
+                       for k, (lam, gam, w0) in enumerate(terms, start=1))
+        spec = write_spec(tmp_path, (
+            f"[thermal]\nbeta = 1.3\n\n[spectral_density]\nfamily = {family}"
+            f"\n{body}\n[task]\ntmax = 6.5\npoints = 201\n"
+            f"tolerance = {tol!r}\n"))
+        code, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 0 and "series" in err
+
+        J = {"gldd": bk.GLDD, "tgldd": bk.TGLDD}[family](
+            [bk.LorentzianTerm(*term) for term in terms])
+        series = bk.converge_series(J, bk.ThermalContext(beta=1.3), tol)
+        assert (series.count > 16) == large
+        t = np.linspace(0.0, 6.5, 201)
+        alpha = [complex(series(float(ti))) for ti in t]
+        rows = "".join("%.17g,%.17g,%.17g\n" % (ti, a.real, a.imag)
+                       for ti, a in zip(t, alpha))
+        assert out == "t,re_alpha,im_alpha\n" + rows
+
     def test_missing_section_names_field(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "[thermal]\nbeta = 1.0\n")
         code, _, err = run_cli(
@@ -264,15 +293,3 @@ class TestExitCodes:
             main(["pade", "--stat", "be", "--order", "1", "--bogus"])
         assert exc.value.code == 2
 
-    def test_invalid_threads_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BATHKIT_THREADS", "zero")
-        code, _, err = run_cli(["pade", "--stat", "be", "--order", "1"],
-                               capsys)
-        assert code == 3
-        assert "BATHKIT_THREADS" in err
-
-    def test_valid_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("BATHKIT_THREADS", "4")
-        code, _, _ = run_cli(["pade", "--stat", "be", "--order", "1"],
-                             capsys)
-        assert code == 0

@@ -1,7 +1,10 @@
 """Tests for the core data model: contexts, spectral densities, series."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
 
@@ -106,8 +109,8 @@ SCALAR_DENSITIES = {
     "tabulated": bk.Tabulated(SCALAR_OMEGA,
                               SCALAR_OMEGA * np.exp(-SCALAR_OMEGA / 4.0)),
 }
-# w = 0, the x < 1e-8 branch of the quadrature integrand, and a spread of
-# (0, 50] that crosses every centre frequency and the tabulated range
+# w = 0, tiny w, and a spread over (0, 50] that crosses every centre
+# frequency and the tabulated range
 SCALAR_POINTS = np.concatenate((
     [0.0, 1e-9], np.geomspace(1e-6, 1.0, 13), np.linspace(0.05, 50.0, 97)))
 
@@ -125,6 +128,54 @@ class TestScalarClosure:
     def test_tgldd_needs_context(self):
         with pytest.raises(bk.InvalidInputError):
             SCALAR_DENSITIES["tgldd"].scalar()
+
+
+# NumPy's tanh, exp and power, which the array reference calls, differ from
+# the libm functions of the closures by up to 2 ulp each (np.tanh and
+# math.tanh disagree on about a quarter of all arguments), so the two agree
+# to a few ulp; the cutoff exponential exp(-y) turns one ulp of
+# y = (w/w_c)**q into y ulps.
+INTEGRAND_RTOL = 1e-15
+
+
+def _cutoff_exponent(J, w):
+    if isinstance(J, bk.PowerLaw):
+        return (w / J.params.cutoff) ** J.params.stretching
+    return 0.0
+
+
+class TestQuadratureIntegrands:
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    @settings(max_examples=200, deadline=None)
+    @given(w=st.one_of(st.sampled_from([0.0, 1e-12, 1e-9]),
+                       st.floats(1e-6, 1e3)))
+    def test_match_array_reference(self, name, w):
+        J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
+        re, j_closure = J.quadrature_integrands(ctx)
+        got_re, got_j = re(w), j_closure(w)
+        assert type(got_re) is float and type(got_j) is float
+        j = bk.eval_spectral_density(J, np.array([w]), ctx)[0]
+        rtol = INTEGRAND_RTOL * (1.0 + _cutoff_exponent(J, w))
+        assert got_j == pytest.approx(j, rel=rtol, abs=1e-300)
+        if w == 0.0:
+            # coth has a pole at 0: re(0) is the w -> 0+ limit
+            at_zero = 2.0 / (ctx.beta_hbar * math.pi) \
+                * J.j_over_omega_limit(ctx)
+            assert got_re == pytest.approx(at_zero, rel=INTEGRAND_RTOL)
+            return
+        ref_re = j / np.tanh(ctx.beta_hbar * w / 2.0) / np.pi
+        assert got_re == pytest.approx(ref_re, rel=rtol, abs=1e-300)
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    def test_j_over_omega_limit(self, name):
+        J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
+        h = np.array([1e-9, 1e-12])
+        slope = bk.eval_spectral_density(J, h, ctx) / h
+        limit = J.j_over_omega_limit(ctx)
+        if math.isinf(limit):
+            assert slope[1] > 10.0 * slope[0]  # J(w)/w grows without bound
+        else:
+            assert limit == pytest.approx(slope[1], rel=1e-9, abs=1e-12)
 
 
 class TestBoseEinstein:
