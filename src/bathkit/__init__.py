@@ -9,8 +9,7 @@ from .model import (GLDD, MeierTannor, PowerLaw, Tabulated, TGLDD,
                     ExponentialSeries, LorentzianTerm, PowerLawCutoff,
                     SpectralDensity, ThermalContext, bose_einstein,
                     eval_spectral_density, series_eval)
-from .pade import (PadeParams, Statistics, pade_bose_approx, pade_parameters,
-                   sym_tridiag_eigenvalues)
+from .pade import PadeParams, Statistics, pade_bose_approx, pade_parameters
 from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
                   alpha_series_gldd, alpha_series_mt, alpha_series_tgldd,
                   converge_series, polygamma, spectral_density_from_series)
@@ -30,7 +29,6 @@ __all__ = [
     "ExponentialSeries", "LorentzianTerm", "PowerLawCutoff", "SpectralDensity",
     "ThermalContext", "bose_einstein", "eval_spectral_density", "series_eval",
     "PadeParams", "Statistics", "pade_bose_approx", "pade_parameters",
-    "sym_tridiag_eigenvalues",
     "AlphaSamples", "alpha_powerlaw_closed_form", "alpha_quadrature",
     "alpha_series_gldd", "alpha_series_mt", "alpha_series_tgldd",
     "converge_series", "polygamma", "spectral_density_from_series",

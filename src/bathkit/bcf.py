@@ -31,8 +31,8 @@ import scipy.integrate as _si
 from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
                      UnsupportedOrderError)
-from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    TGLDD, ExponentialSeries, ThermalContext, series_eval)
+from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
+                    ExponentialSeries, ThermalContext, series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -93,31 +93,12 @@ class AlphaSamples:
 # quadrature route
 # ---------------------------------------------------------------------------
 
-def _small_omega_exponent(J):
-    """Leading power of J(w) as w -> 0 (1 for the Lorentzian families)."""
-    if isinstance(J, PowerLaw):
-        return J.params.exponent
-    if isinstance(J, Tabulated):
-        return 0.0 if (J.omega[0] == 0.0 and J.j[0] != 0.0) else 1.0
-    return 1.0
-
-
-def _frequency_scale(J, ctx):
-    if isinstance(J, (GLDD, TGLDD, MeierTannor)):
-        return max(t.gamma + t.omega_tilde for t in J.terms)
-    if isinstance(J, PowerLaw):
-        return J.params.cutoff * (1.0 + J.params.exponent)
-    if isinstance(J, Tabulated):
-        return float(J.omega[-1])
-    return 1.0 / ctx.beta_hbar
-
-
 def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
     """scipy.quad with integration warnings promoted to AccuracyError."""
     kwargs = dict(epsabs=epsabs, limit=max_panels)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar)
-        if b is np.inf and weight in ("cos", "sin"):
+        if b == np.inf and weight in ("cos", "sin"):
             kwargs["limlst"] = max_panels
     else:
         kwargs["epsrel"] = max(1e-12, epsabs)
@@ -139,7 +120,7 @@ def _alpha_scale(J, ctx):
     exact alpha(0) diverges logarithmically.
     """
     g, _ = J.quadrature_integrands(ctx)
-    w_hi = 50.0 * max(_frequency_scale(J, ctx), 1.0 / ctx.beta_hbar)
+    w_hi = 50.0 * max(J.frequency_scale(), 1.0 / ctx.beta_hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value, _ = _si.quad(g, 0.0, w_hi, limit=200)
@@ -176,7 +157,7 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
     """
     if t < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
-    s_min = _small_omega_exponent(J)
+    s_min = J.small_omega_exponent()
     if s_min <= 0:
         raise DivergenceError(
             "J(w) ~ w**s with s <= 0 near w = 0: the response transform "
@@ -186,27 +167,19 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
 
     # the sine transform integrates J itself to pi*tol and divides by pi
     g_re, j = J.quadrature_integrands(ctx)
+    if s_min < 1.0:
+        return _alpha_quadrature_powerlaw_singular(J, t, tol, g_re, j)
 
-    if isinstance(J, Tabulated):
-        a, b = 0.0, float(J.omega[-1])
-        if t == 0.0:
-            return complex(_quad(g_re, a, b, epsabs=tol), 0.0)
-        re = _quad(g_re, a, b, weight="cos", wvar=t, epsabs=tol)
-        im = _quad(j, a, b, weight="sin", wvar=t, epsabs=math.pi * tol)
-        return complex(re, -im / math.pi)
-
-    if isinstance(J, PowerLaw) and J.params.exponent < 1.0:
-        return _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, j)
-
+    b = J.omega_max
     if t == 0.0:
-        return complex(_quad(g_re, 0.0, np.inf, epsabs=tol), 0.0)
-    re = _quad(g_re, 0.0, np.inf, weight="cos", wvar=t, epsabs=tol)
-    im = _quad(j, 0.0, np.inf, weight="sin", wvar=t, epsabs=math.pi * tol)
+        return complex(_quad(g_re, 0.0, b, epsabs=tol), 0.0)
+    re = _quad(g_re, 0.0, b, weight="cos", wvar=t, epsabs=tol)
+    im = _quad(j, 0.0, b, weight="sin", wvar=t, epsabs=math.pi * tol)
     return complex(re, -im / math.pi)
 
 
-def _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, j):
-    """Power-law density with 0 < s < 1: the real-part integrand has an
+def _alpha_quadrature_powerlaw_singular(J, t, tol, g_re, j):
+    """0 < s < 1, which only a power law has: the real-part integrand has an
     integrable w**(s-1) singularity at 0.  Substitute u = w**s on a head
     interval to remove it, then integrate the smooth tail as usual."""
     s = J.params.exponent
@@ -234,12 +207,6 @@ def _alpha_quadrature_powerlaw_singular(J, ctx, t, tol, g_re, j):
 # analytic series for the Lorentzian families
 # ---------------------------------------------------------------------------
 
-def _as_terms(J, family):
-    if isinstance(J, family):
-        return J.terms
-    return tuple(J)
-
-
 def _pade_rates(n_pade, statistics, ctx, terms):
     if n_pade == 0:
         return np.empty(0), np.empty(0)
@@ -262,7 +229,8 @@ def _matsubara_weight_sum(terms, xi_k):
     return total
 
 
-def alpha_series_gldd(J, ctx: ThermalContext, n_pade: int) -> ExponentialSeries:
+def alpha_series_gldd(J: GLDD, ctx: ThermalContext,
+                      n_pade: int) -> ExponentialSeries:
     """Exponential series for a generalized Lorentz-Drude/Debye density.
 
     Returns 2*h + n_pade terms: one conjugate pole pair per Lorentzian term
@@ -271,7 +239,7 @@ def alpha_series_gldd(J, ctx: ThermalContext, n_pade: int) -> ExponentialSeries:
     that the series reproduces the (1/pi)-normalised integral transform; this
     is enforced by the quadrature cross-check in the test-suite.
     """
-    terms = _as_terms(J, GLDD)
+    terms = J.terms
     bh = ctx.beta_hbar
     xi, Xi = _pade_rates(n_pade, Statistics.BOSE_EINSTEIN, ctx, terms)
 
@@ -310,15 +278,16 @@ def _alpha_series_scaled(terms, ctx, n_pade, statistics):
     return ExponentialSeries(out_p, out_w)
 
 
-def alpha_series_tgldd(J, ctx: ThermalContext, n_pade: int) -> ExponentialSeries:
+def alpha_series_tgldd(J: TGLDD, ctx: ThermalContext,
+                       n_pade: int) -> ExponentialSeries:
     """Exponential series for a thermally scaled Lorentz-Drude/Debye density,
     using Fermi-Dirac approximant parameters.  Same 1/pi normalisation as
     :func:`alpha_series_gldd`."""
-    return _alpha_series_scaled(_as_terms(J, TGLDD), ctx, n_pade,
-                                Statistics.FERMI_DIRAC)
+    return _alpha_series_scaled(J.terms, ctx, n_pade, Statistics.FERMI_DIRAC)
 
 
-def alpha_series_mt(J, ctx: ThermalContext, n_pade: int) -> ExponentialSeries:
+def alpha_series_mt(J: MeierTannor, ctx: ThermalContext,
+                    n_pade: int) -> ExponentialSeries:
     """Exponential series for a Meier-Tannor density from the published
     coefficient table (Bose-Einstein approximant parameters).
 
@@ -327,7 +296,7 @@ def alpha_series_mt(J, ctx: ThermalContext, n_pade: int) -> ExponentialSeries:
     convergence failure, at which point callers fall back to
     quadrature-sampled objectives.
     """
-    return _alpha_series_scaled(_as_terms(J, MeierTannor), ctx, n_pade,
+    return _alpha_series_scaled(J.terms, ctx, n_pade,
                                 Statistics.BOSE_EINSTEIN)
 
 
@@ -385,6 +354,26 @@ def polygamma(s, z) -> complex:
     return val + acc
 
 
+def _check_closed_form(J):
+    """Raise unless :func:`alpha_powerlaw_closed_form` covers J: a power law
+    with a plain exponential cutoff (q = 1) and an integer exponent s >= 1."""
+    if not isinstance(J, PowerLaw):
+        raise InvalidInputError(
+            "the closed form covers only power-law densities, got "
+            f"{type(J).__name__}")
+    params = J.params
+    if params.stretching != 1.0:
+        raise InvalidInputError(
+            "closed form requires stretching exponent q = 1; use quadrature")
+    if not float(params.exponent).is_integer():
+        raise UnsupportedOrderError(
+            f"closed form requires integer exponent, got {params.exponent}; "
+            "use quadrature")
+    if params.exponent == 0:
+        raise DivergenceError(
+            "alpha diverges for a flat density (s = 0): J/w is not integrable")
+
+
 def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
                                t: float) -> complex:
     """Closed-form alpha(t) for J(w) = A w^s exp(-w/w_c), integer s >= 1.
@@ -399,21 +388,12 @@ def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
     geometric series and resumming with the Hurwitz zeta representation of
     psi^(s); it is pinned by the quadrature cross-check in the test-suite.
     """
-    params = J.params if isinstance(J, PowerLaw) else J
-    if params.stretching != 1.0:
-        raise InvalidInputError(
-            "closed form requires stretching exponent q = 1; use quadrature")
-    s = params.exponent
-    if float(s) != int(s):
-        raise UnsupportedOrderError(
-            f"closed form requires integer exponent, got {s}; use quadrature")
-    s = int(s)
-    if s == 0:
-        raise DivergenceError(
-            "alpha diverges for a flat density (s = 0): J/w is not integrable")
+    _check_closed_form(J)
     if t < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
 
+    params = J.params
+    s = int(params.exponent)
     bh = ctx.beta_hbar
     A = params.amplitude
     z = (1.0 / params.cutoff + 1j * t) / bh
@@ -460,6 +440,9 @@ _N_SCHEDULE_BASE = (1, 2, 4, 8, 16, 32, 64, 128)
 
 
 def _series_builder_for(J):
+    """The analytic series builder of J's family.  The builders are looked up
+    as module attributes at call time, so a wrapper installed on one of them
+    sees every call."""
     if isinstance(J, GLDD):
         return alpha_series_gldd
     if isinstance(J, TGLDD):

@@ -259,26 +259,30 @@ def _cmd_pade(args):
     return EXIT_OK
 
 
+def _route_error(J, method):
+    """The error that rules out ``method`` for J, or None if it applies."""
+    try:
+        if method == "series":
+            bcf._series_builder_for(J)
+        elif method == "closed":
+            bcf._check_closed_form(J)
+    except BathkitError as exc:
+        return exc
+    return None
+
+
 def _alpha_function(spec, method, tol):
     """Return (callable t_grid -> complex array, method actually used)."""
     J = spec.require_density()
     ctx = spec.ctx
-    structured = isinstance(J, (model.GLDD, model.TGLDD, model.MeierTannor))
     if method == "auto":
-        if structured:
-            method = "series"
-        elif (isinstance(J, model.PowerLaw)
-              and J.params.stretching == 1.0
-              and float(J.params.exponent).is_integer()
-              and J.params.exponent >= 1):
-            method = "closed"
-        else:
-            method = "quadrature"
+        method = next((m for m in ("series", "closed")
+                       if _route_error(J, m) is None), "quadrature")
+    elif (error := _route_error(J, method)) is not None:
+        raise InvalidInputError(
+            f"task.method: {method!r} does not apply: {error}")
 
     if method == "series":
-        if not structured:
-            raise InvalidInputError(
-                "task.method: 'series' requires a gldd, tgldd or mt density")
         try:
             series = bcf.converge_series(J, ctx, tol)
         except ConvergenceError as exc:

@@ -18,8 +18,8 @@ import numpy as np
 import scipy.integrate as _si
 
 from .errors import AccuracyError, DivergenceError, InvalidInputError
-from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    TGLDD, ExponentialSeries, ThermalContext)
+from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity,
+                    ExponentialSeries, ThermalContext)
 
 __all__ = [
     "EtaGrid",
@@ -186,8 +186,13 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
 
     ``ctx`` is required for the thermally scaled family, whose definition
     carries tanh(beta*hbar*w/2); the other families have temperature-free
-    values.
+    values.  Families without a closed form (TGLDD, Tabulated) are integrated
+    over [0, J.omega_max].
     """
+    if J.small_omega_exponent() <= 0:
+        raise DivergenceError(
+            "J(w) ~ w**s with s <= 0 near w = 0: the reorganization "
+            "integral diverges")
     if isinstance(J, GLDD):
         return float(sum(t.lam for t in J.terms))
     if isinstance(J, MeierTannor):
@@ -196,24 +201,10 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
             for t in J.terms))
     if isinstance(J, PowerLaw):
         prm = J.params
-        if prm.exponent <= 0:
-            raise DivergenceError(
-                "reorganization energy diverges for exponent s <= 0")
         return prm.amplitude / prm.stretching * prm.cutoff**prm.exponent \
             * math.gamma(prm.exponent / prm.stretching)
-    if isinstance(J, TGLDD):
-        if ctx is None:
-            raise InvalidInputError(
-                "a ThermalContext is required for the thermally scaled family")
-        integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
-        return _quad_lambda(integrand, 0.0, np.inf)
-    if isinstance(J, Tabulated):
-        if J.omega[0] == 0.0 and J.j[0] != 0.0:
-            raise DivergenceError(
-                "tabulated J(0) != 0: the reorganization integral diverges")
-        integrand = _over_omega(J.scalar(), 0.0)
-        return _quad_lambda(integrand, 0.0, float(J.omega[-1]))
-    raise InvalidInputError(f"unknown spectral density {J!r}")
+    integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
+    return _quad_lambda(integrand, 0.0, J.omega_max)
 
 
 def _over_omega(j, at_zero):

@@ -4,13 +4,20 @@ Units are a single consistent system chosen by the caller.  ``hbar`` defaults
 to 1 but is carried explicitly everywhere the combination ``beta * hbar``
 appears, so nothing in the library assumes natural units.
 
-Every density family evaluates itself for the quadrature route through three
-methods.  ``scalar(ctx)`` is the pure-float closure w -> J(w), w >= 0.
-``j_over_omega_limit(ctx)`` is lim_{w->0+} J(w)/w.
-``quadrature_integrands(ctx)`` returns the pair (re, j) of the transform
-alpha(t) = int_0^inf [re(w) cos(wt) - i j(w) sin(wt) / pi] dw, with
+Each density family owns the facts the other modules need about it:
 
-    re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j = scalar(ctx).
+* ``scalar(ctx)``, the pure-float closure w -> J(w), w >= 0;
+* ``quadrature_integrands(ctx)``, the pair (re, j) of the transform
+  alpha(t) = int_0^omega_max [re(w) cos(wt) - i j(w) sin(wt) / pi] dw, with
+
+      re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j = scalar(ctx);
+
+* ``j_over_omega_limit(ctx)``, lim_{w->0+} J(w)/w;
+* ``small_omega_exponent()``, the leading power s of J(w) ~ w**s as w -> 0
+  (s <= 0 makes the response and reorganization integrals diverge);
+* ``frequency_scale()``, the frequency beyond which J has decayed;
+* ``omega_max``, the end of the support of J (``inf`` except for
+  :class:`Tabulated`).
 
 ``re`` and ``j`` are each one Python frame with the density written out in
 it (the Lorentzian sums too, rather than called through a shared helper) and
@@ -141,17 +148,32 @@ def _real_integrand_at_zero(J, ctx):
 
 
 @dataclass(frozen=True)
-class GLDD:
+class _LorentzianFamily:
+    """Base of the families built from Lorentzian terms: J(w) ~ w near
+    w = 0 and no upper end of the support.  Subclasses are declared with
+    ``init=False`` so that they keep the validating ``__init__``."""
+
+    terms: tuple[LorentzianTerm, ...]
+    omega_max = math.inf
+
+    def __init__(self, terms: Sequence[LorentzianTerm]):
+        object.__setattr__(self, "terms", _check_terms(terms))
+
+    def small_omega_exponent(self) -> float:
+        return 1.0
+
+    def frequency_scale(self) -> float:
+        """The largest gamma + omega_tilde over the terms."""
+        return max(t.gamma + t.omega_tilde for t in self.terms)
+
+
+@dataclass(frozen=True, init=False)
+class GLDD(_LorentzianFamily):
     """Generalized Lorentz-Drude/Debye spectral density.
 
     J(w) = (w/pi) * sum_h [ lam*gamma/(gamma^2+(w-w0)^2)
                           + lam*gamma/(gamma^2+(w+w0)^2) ]
     """
-
-    terms: tuple[LorentzianTerm, ...]
-
-    def __init__(self, terms: Sequence[LorentzianTerm]):
-        object.__setattr__(self, "terms", _check_terms(terms))
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed.
@@ -198,19 +220,14 @@ class GLDD:
         return re, self.scalar(ctx)
 
 
-@dataclass(frozen=True)
-class TGLDD:
+@dataclass(frozen=True, init=False)
+class TGLDD(_LorentzianFamily):
     """Thermally scaled generalized Lorentz-Drude/Debye spectral density.
 
     Same Lorentzian sum as :class:`GLDD` but with prefactor
     tanh(beta*hbar*w/2)/pi instead of w/pi, so evaluation needs a
     :class:`ThermalContext`.
     """
-
-    terms: tuple[LorentzianTerm, ...]
-
-    def __init__(self, terms: Sequence[LorentzianTerm]):
-        object.__setattr__(self, "terms", _check_terms(terms))
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is required."""
@@ -258,17 +275,12 @@ class TGLDD:
         return re, self.scalar(ctx)
 
 
-@dataclass(frozen=True)
-class MeierTannor:
+@dataclass(frozen=True, init=False)
+class MeierTannor(_LorentzianFamily):
     """Meier-Tannor spectral density built from shifted Lorentzian pairs.
 
     J(w) = (pi*w/2) * sum_h lam / [ (gamma^2+(w+w0)^2) (gamma^2+(w-w0)^2) ]
     """
-
-    terms: tuple[LorentzianTerm, ...]
-
-    def __init__(self, terms: Sequence[LorentzianTerm]):
-        object.__setattr__(self, "terms", _check_terms(terms))
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
@@ -317,10 +329,18 @@ class PowerLaw:
     """Power-law spectral density with (stretched) exponential cutoff."""
 
     params: PowerLawCutoff
+    omega_max = math.inf
 
     @classmethod
     def create(cls, amplitude, exponent, cutoff, stretching=1.0):
         return cls(PowerLawCutoff(amplitude, exponent, cutoff, stretching))
+
+    def small_omega_exponent(self) -> float:
+        return self.params.exponent
+
+    def frequency_scale(self) -> float:
+        """cutoff * (1 + s), near the peak of J for s > 0."""
+        return self.params.cutoff * (1.0 + self.params.exponent)
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
@@ -390,6 +410,18 @@ class Tabulated:
             raise InvalidInputError("tabulated J values must be finite")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "j", j)
+
+    @property
+    def omega_max(self) -> float:
+        """The last sample: the interpolant is 0 beyond it."""
+        return float(self.omega[-1])
+
+    def small_omega_exponent(self) -> float:
+        """0 if the interpolant starts at w = 0 with J(0) != 0, else 1."""
+        return 0.0 if (self.omega[0] == 0.0 and self.j[0] != 0.0) else 1.0
+
+    def frequency_scale(self) -> float:
+        return self.omega_max
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Float closure w -> J(w) (linear interpolation); ``ctx`` is not

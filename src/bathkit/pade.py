@@ -23,7 +23,6 @@ from .model import ThermalContext
 __all__ = [
     "Statistics",
     "PadeParams",
-    "sym_tridiag_eigenvalues",
     "pade_parameters",
     "pade_bose_approx",
 ]
@@ -63,24 +62,6 @@ class PadeParams:
     beta_hbar: float = 1.0
 
 
-def sym_tridiag_eigenvalues(diag, offdiag):
-    """All eigenvalues of a symmetric tridiagonal matrix, sorted ascending.
-
-    Uses a bisection-based LAPACK driver for cross-platform determinism.
-    """
-    diag = np.asarray(diag, dtype=float)
-    offdiag = np.asarray(offdiag, dtype=float)
-    if diag.size == 0:
-        raise InvalidInputError("matrix must have at least one row")
-    if offdiag.size != diag.size - 1:
-        raise InvalidInputError(
-            f"offdiag must have length {diag.size - 1}, got {offdiag.size}")
-    if diag.size == 1:
-        return diag.copy()
-    return np.sort(eigh_tridiagonal(
-        diag, offdiag, eigvals_only=True, lapack_driver="stebz"))
-
-
 def _couplings(size, offset):
     # off-diagonal entries 1/sqrt((2m+c)(2m+c+2)) for m = 1..size-1
     m = np.arange(1, size, dtype=float)
@@ -89,8 +70,11 @@ def _couplings(size, offset):
 
 def _positive_rates(size, offset):
     """Dimensionless rates 2/lambda for the positive eigenvalues of the
-    tridiagonal matrix with zero diagonal and the given coupling offset."""
-    eig = sym_tridiag_eigenvalues(np.zeros(size), _couplings(size, offset))
+    size x size (size >= 2) tridiagonal matrix with zero diagonal and the
+    given coupling offset.  The bisection LAPACK driver is used for
+    cross-platform determinism."""
+    eig = np.sort(eigh_tridiagonal(np.zeros(size), _couplings(size, offset),
+                                   eigvals_only=True, lapack_driver="stebz"))
     scale = max(abs(eig[0]), abs(eig[-1]))
     positive = eig[eig > 1e-12 * scale]
     return np.sort(2.0 / positive)

@@ -175,11 +175,40 @@ class TestAlphaQuadrature:
         ref = complex(mpmath.quad(piece, [0, 1, 2])) / np.pi
         assert bk.alpha_quadrature(J, CTX, 1.3) == pytest.approx(ref, rel=1e-9)
 
+    def test_tabulated_starting_above_zero(self):
+        # the interpolant is 0 below its first sample and jumps at w = 0.5
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 25
+        J = bk.Tabulated([0.5, 1.0, 2.0], [1.0, 0.5, 0.0])
+
+        def piece(w):
+            j = 1.5 - w if w <= 1 else 1.0 - 0.5 * w
+            return j * (mpmath.coth(w / 2) * mpmath.cos(w)
+                        - 1j * mpmath.sin(w))
+
+        ref = complex(mpmath.quad(piece, [0.5, 1, 2])) / np.pi
+        assert bk.alpha_quadrature(J, CTX, 1.0) == pytest.approx(ref, rel=1e-9)
+
     def test_flat_density_diverges(self):
-        with pytest.raises(bk.DivergenceError):
-            bk.alpha_quadrature(bk.PowerLaw.create(1.0, 0.0, 1.0), CTX, 1.0)
-        with pytest.raises(bk.DivergenceError):
-            bk.alpha_quadrature(bk.Tabulated([0.0, 1.0], [1.0, 0.0]), CTX, 1.0)
+        # the small-w exponent decides, not the value of J at w = 0
+        for J in (bk.PowerLaw.create(1.0, 0.0, 1.0),
+                  bk.PowerLaw.create(0.0, 0.0, 1.0),
+                  bk.Tabulated([0.0, 1.0], [1.0, 0.0])):
+            with pytest.raises(bk.DivergenceError):
+                bk.alpha_quadrature(J, CTX, 1.0)
+
+    @pytest.mark.parametrize("upper", [np.inf, math.inf],
+                             ids=["numpy_inf", "math_inf"])
+    def test_infinite_upper_limit_gets_cycle_limit(self, upper, monkeypatch):
+        seen = {}
+
+        def quad(f, a, b, **kwargs):
+            seen.update(kwargs)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(bcf._si, "quad", quad)
+        bcf._quad(math.exp, 0.0, upper, weight="cos", wvar=1.0, epsabs=1e-9)
+        assert seen["limlst"] == 400
 
     def test_negative_time_rejected(self):
         with pytest.raises(bk.InvalidInputError):

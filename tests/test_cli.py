@@ -129,6 +129,21 @@ class TestAlpha:
                        for ti, a in zip(t, alpha))
         assert out == "t,re_alpha,im_alpha\n" + rows
 
+    @pytest.mark.parametrize("method,spec_text", [
+        ("closed", DRUDE_SPEC),
+        ("series", POWERLAW_SPEC),
+        ("closed", POWERLAW_SPEC.replace("exponent = 1.0", "exponent = 1.5")),
+    ], ids=["closed_on_gldd", "series_on_powerlaw", "closed_on_fractional"])
+    def test_method_mismatch_names_field(self, tmp_path, capsys, method,
+                                         spec_text):
+        spec = write_spec(tmp_path, spec_text)
+        code, out, err = run_cli(
+            ["alpha", "--spec", spec, "--tmax", "1", "--points", "3",
+             "--method", method], capsys)
+        assert code == 3
+        assert "task.method" in err
+        assert out == ""
+
     def test_missing_section_names_field(self, tmp_path, capsys):
         spec = write_spec(tmp_path, "[thermal]\nbeta = 1.0\n")
         code, _, err = run_cli(

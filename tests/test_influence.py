@@ -153,11 +153,23 @@ class TestReorganizationEnergy:
         assert bk.reorganization_energy(J) == pytest.approx(
             2.0 * np.log(2.0), rel=1e-10)
 
+    def test_tabulated_starting_above_zero(self):
+        # sum over segments of int (a + b w)/w dw = a ln(w2/w1) + b (w2 - w1)
+        omega, j = [0.5, 1.0, 2.0], [1.0, 0.5, 0.0]
+        expected = 0.0
+        for w1, w2, j1, j2 in zip(omega, omega[1:], j, j[1:]):
+            b = (j2 - j1) / (w2 - w1)
+            a = j1 - b * w1
+            expected += a * np.log(w2 / w1) + b * (w2 - w1)
+        assert bk.reorganization_energy(bk.Tabulated(omega, j)) \
+            == pytest.approx(expected, rel=1e-12)
+
     def test_divergent_cases(self):
-        with pytest.raises(bk.DivergenceError):
-            bk.reorganization_energy(bk.PowerLaw.create(1.0, 0.0, 1.0))
-        with pytest.raises(bk.DivergenceError):
-            bk.reorganization_energy(bk.Tabulated([0.0, 1.0], [1.0, 0.0]))
+        for J in (bk.PowerLaw.create(1.0, 0.0, 1.0),
+                  bk.PowerLaw.create(0.0, 0.0, 1.0),
+                  bk.Tabulated([0.0, 1.0], [1.0, 0.0])):
+            with pytest.raises(bk.DivergenceError):
+                bk.reorganization_energy(J)
 
 
 class TestQuapiCorrect:

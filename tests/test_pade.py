@@ -4,30 +4,7 @@ import numpy as np
 import pytest
 
 import bathkit as bk
-from bathkit.pade import pade_bose_approx, sym_tridiag_eigenvalues
-
-
-class TestSymTridiagEigenvalues:
-    def test_2x2_pair(self):
-        eig = sym_tridiag_eigenvalues([0.0, 0.0], [0.7])
-        assert eig == pytest.approx([-0.7, 0.7], rel=1e-14)
-
-    def test_3x3_analytic(self):
-        a = 1.3
-        eig = sym_tridiag_eigenvalues([0.0, 0.0, 0.0], [a, a])
-        assert eig == pytest.approx([-a * np.sqrt(2), 0.0, a * np.sqrt(2)],
-                                    abs=1e-13)
-
-    def test_1x1(self):
-        assert sym_tridiag_eigenvalues([1.0], []) == pytest.approx([1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(bk.InvalidInputError):
-            sym_tridiag_eigenvalues([], [])
-
-    def test_length_mismatch(self):
-        with pytest.raises(bk.InvalidInputError):
-            sym_tridiag_eigenvalues([0.0, 0.0], [1.0, 2.0])
+from bathkit.pade import pade_bose_approx
 
 
 class TestPadeParameters:
