@@ -4,7 +4,8 @@ built from them."""
 
 from .errors import (AccuracyError, BathkitError, ConvergenceError,
                      DegeneratePoleError, DivergenceError, InvalidInputError,
-                     PoleError, UnsupportedOrderError, ZeroAmplitudeError)
+                     PoleError, RangeError, UnsupportedOrderError,
+                     ZeroAmplitudeError)
 from .model import (GLDD, MeierTannor, PowerLaw, Tabulated, TGLDD,
                     ExponentialSeries, LorentzianTerm, PowerLawCutoff,
                     SpectralDensity, ThermalContext, bose_einstein,
@@ -23,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "BathkitError", "ConvergenceError", "DegeneratePoleError",
-    "DivergenceError", "InvalidInputError", "PoleError",
+    "DivergenceError", "InvalidInputError", "PoleError", "RangeError",
     "UnsupportedOrderError", "ZeroAmplitudeError",
     "GLDD", "MeierTannor", "PowerLaw", "Tabulated", "TGLDD",
     "ExponentialSeries", "LorentzianTerm", "PowerLawCutoff", "SpectralDensity",

@@ -30,7 +30,7 @@ import scipy.integrate as _si
 
 from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
-                     UnsupportedOrderError)
+                     RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
                     ExponentialSeries, ThermalContext, series_eval)
 from .pade import Statistics, pade_parameters
@@ -93,6 +93,15 @@ class AlphaSamples:
 # quadrature route
 # ---------------------------------------------------------------------------
 
+def _scipy_quad(f, a, b, **kwargs):
+    """scipy.quad with an integrand overflow raised as RangeError."""
+    try:
+        return _si.quad(f, a, b, **kwargs)
+    except OverflowError as exc:
+        raise RangeError(
+            f"the integrand overflows the float range ({exc})") from exc
+
+
 def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
     """scipy.quad with integration warnings promoted to AccuracyError."""
     kwargs = dict(epsabs=epsabs, limit=max_panels)
@@ -104,7 +113,7 @@ def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
         kwargs["epsrel"] = max(1e-12, epsabs)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", _si.IntegrationWarning)
-        value, abserr = _si.quad(f, a, b, **kwargs)
+        value, abserr = _scipy_quad(f, a, b, **kwargs)
     for w in caught:
         if issubclass(w.category, _si.IntegrationWarning):
             raise AccuracyError(
@@ -123,7 +132,7 @@ def _alpha_scale(J, ctx):
     w_hi = 50.0 * max(J.frequency_scale(), 1.0 / ctx.beta_hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value, _ = _si.quad(g, 0.0, w_hi, limit=200)
+        value, _ = _scipy_quad(g, 0.0, w_hi, limit=200)
     return max(abs(value), np.finfo(float).tiny)
 
 
@@ -153,7 +162,11 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
         If J ~ w**s with s <= 0 near w = 0 (non-integrable against coth).
     AccuracyError
         If the adaptive scheme cannot meet the tolerance; carries the best
-        bound achieved.
+        bound achieved.  At t = 0 it is raised before any quadrature when
+        w J(w) tends to a non-zero limit (a GLDD whose lam*gamma do not
+        cancel), since alpha(0) then diverges logarithmically.
+    RangeError
+        If the integrand overflows the float range.
     """
     if t < 0:
         raise InvalidInputError(f"t must be >= 0, got {t}")
@@ -162,6 +175,10 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
         raise DivergenceError(
             "J(w) ~ w**s with s <= 0 near w = 0: the response transform "
             "diverges against the coth singularity")
+    if t == 0.0 and (tail := J.omega_j_limit()) != 0.0:
+        raise AccuracyError(
+            "alpha(0) diverges logarithmically: J(w) ~ c/w at large w with "
+            f"c = {tail:.6g}", achieved=math.inf)
     if tol is None:
         tol = _default_tol(J, ctx)
 
@@ -387,6 +404,7 @@ def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
     The (-1)^(s+1)/pi normalisation follows from expanding coth into a
     geometric series and resumming with the Hurwitz zeta representation of
     psi^(s); it is pinned by the quadrature cross-check in the test-suite.
+    Raises :class:`RangeError` when a term overflows the float range.
     """
     _check_closed_form(J)
     if t < 0:
@@ -397,9 +415,13 @@ def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
     bh = ctx.beta_hbar
     A = params.amplitude
     z = (1.0 / params.cutoff + 1j * t) / bh
-    psi_sum = polygamma(s, z) + polygamma(s, z + 1.0)
-    re = A * (-1.0) ** (s + 1) / np.pi * bh ** (-(s + 1)) * psi_sum.real
-    gamma_term = math.gamma(s + 1) / (bh * z) ** (s + 1)
+    try:
+        psi_sum = polygamma(s, z) + polygamma(s, z + 1.0)
+        re = A * (-1.0) ** (s + 1) / np.pi * bh ** (-(s + 1)) * psi_sum.real
+        gamma_term = math.gamma(s + 1) / (bh * z) ** (s + 1)
+    except OverflowError as exc:
+        raise RangeError(f"closed form overflows the float range at s = {s} "
+                         f"({exc})") from exc
     return complex(re, A / np.pi * gamma_term.imag)
 
 
@@ -472,7 +494,8 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     ------
     ConvergenceError
         If the order cap is reached, or the error stops improving (as for the
-        published Meier-Tannor weights); carries the best error and series.
+        published Meier-Tannor weights); carries the best error and series,
+        and the quadrature reference with its tolerance.
     """
     builder = _series_builder_for(J)
     if t_grid is None:
@@ -517,4 +540,5 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     raise ConvergenceError(
         f"series error stalled at {best_err:.3e} (tolerance {tol:.3e}); "
         "fall back to quadrature-sampled objectives",
-        best_error=best_err, best_result=best_series)
+        best_error=best_err, best_result=best_series,
+        reference=(ts, refs), reference_tol=quad_tol)

@@ -288,7 +288,8 @@ def _alpha_function(spec, method, tol):
         except ConvergenceError as exc:
             print(f"series construction failed ({exc}); "
                   "falling back to quadrature", file=sys.stderr)
-            return _quadrature_function(J, ctx), "quadrature"
+            return _quadrature_function(J, ctx, exc.reference,
+                                        exc.reference_tol), "quadrature"
         return series, "series"
     if method == "closed":
         return _pointwise(
@@ -304,11 +305,20 @@ def _pointwise(alpha_at):
                                    dtype=complex)
 
 
-def _quadrature_function(J, ctx):
+def _quadrature_function(J, ctx, reference=None, tol=None):
     """t_grid -> alpha by quadrature, with the default tolerance of
-    :func:`bcf.alpha_quadrature` computed once for the whole grid."""
-    tol = bcf._default_tol(J, ctx)
-    return _pointwise(lambda t: bcf.alpha_quadrature(J, ctx, t, tol=tol))
+    :func:`bcf.alpha_quadrature` computed once for the whole grid.
+
+    ``reference`` is a pair of arrays (t, alpha) already integrated to the
+    default tolerance ``tol``, such as a stalled series carries; grid times
+    found in it are taken from it, not integrated again.
+    """
+    if tol is None:
+        tol = bcf._default_tol(J, ctx)
+    known = {} if reference is None else dict(
+        zip(reference[0].tolist(), reference[1].tolist()))
+    return _pointwise(lambda t: known[t] if t in known
+                      else bcf.alpha_quadrature(J, ctx, t, tol=tol))
 
 
 def _cmd_alpha(args):

@@ -15,6 +15,7 @@ __all__ = [
     "ConvergenceError",
     "UnsupportedOrderError",
     "ZeroAmplitudeError",
+    "RangeError",
 ]
 
 
@@ -56,18 +57,31 @@ class ConvergenceError(BathkitError):
     """An iterative refinement loop hit its cap before reaching tolerance.
 
     ``best_error`` records the smallest error seen; ``best_result`` the
-    corresponding object (may be ``None``).
+    corresponding object (may be ``None``).  A stalled series also hands on
+    the quadrature reference it was compared with, so a caller falling back
+    to quadrature need not integrate those times again: ``reference`` is
+    the pair of arrays ``(t, alpha)`` at the grid times where quadrature
+    converged, and ``reference_tol`` the absolute tolerance they were
+    integrated to (both ``None`` when there is no reference).
     """
 
-    def __init__(self, message, best_error=None, best_result=None):
+    def __init__(self, message, best_error=None, best_result=None,
+                 reference=None, reference_tol=None):
         super().__init__(message)
         self.best_error = best_error
         self.best_result = best_result
+        self.reference = reference
+        self.reference_tol = reference_tol
 
 
 class UnsupportedOrderError(BathkitError):
     """A special-function order outside the implemented domain (e.g. a
     fractional polygamma order)."""
+
+
+class RangeError(BathkitError, OverflowError):
+    """A result, or a value needed on the way to it, lies beyond the range
+    of floating-point numbers (e.g. alpha(t) of a very steep power law)."""
 
 
 class ZeroAmplitudeError(BathkitError):

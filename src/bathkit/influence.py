@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.integrate as _si
 
-from .errors import AccuracyError, DivergenceError, InvalidInputError
+from .errors import (AccuracyError, DivergenceError, InvalidInputError,
+                     RangeError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity,
                     ExponentialSeries, ThermalContext)
 
@@ -201,8 +202,13 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
             for t in J.terms))
     if isinstance(J, PowerLaw):
         prm = J.params
-        return prm.amplitude / prm.stretching * prm.cutoff**prm.exponent \
-            * math.gamma(prm.exponent / prm.stretching)
+        try:
+            return prm.amplitude / prm.stretching * prm.cutoff**prm.exponent \
+                * math.gamma(prm.exponent / prm.stretching)
+        except OverflowError as exc:
+            raise RangeError(
+                f"reorganization energy overflows the float range ({exc})"
+            ) from exc
     integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
     return _quad_lambda(integrand, 0.0, J.omega_max)
 

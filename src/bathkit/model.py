@@ -10,19 +10,27 @@ Each density family owns the facts the other modules need about it:
 * ``quadrature_integrands(ctx)``, the pair (re, j) of the transform
   alpha(t) = int_0^omega_max [re(w) cos(wt) - i j(w) sin(wt) / pi] dw, with
 
-      re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j = scalar(ctx);
+      re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j(w) = J(w);
 
 * ``j_over_omega_limit(ctx)``, lim_{w->0+} J(w)/w;
+* ``omega_j_limit()``, lim_{w->inf} w J(w): alpha(0) diverges
+  logarithmically unless it is 0;
 * ``small_omega_exponent()``, the leading power s of J(w) ~ w**s as w -> 0
   (s <= 0 makes the response and reorganization integrals diverge);
 * ``frequency_scale()``, the frequency beyond which J has decayed;
 * ``omega_max``, the end of the support of J (``inf`` except for
   :class:`Tabulated`).
 
-``re`` and ``j`` are each one Python frame with the density written out in
-it (the Lorentzian sums too, rather than called through a shared helper) and
-with ``math`` functions bound as closure variables, since QUADPACK calls them
-about a thousand times per alpha(t) value.
+QUADPACK calls ``re`` and ``j`` about a thousand times per alpha(t) value,
+and the sine pass asks ``j`` for J at 90-97 % of the nodes the cosine pass
+gave ``re``.  So ``re`` is one Python frame with the density written out in
+it (the Lorentzian sums too, rather than called through a shared helper)
+and ``math`` functions bound as closure variables, and it stores the J it
+forms in a node table that belongs to its pair.  ``j`` is that table's
+``__getitem__``: a stored node costs a dict lookup and no Python frame, and
+a miss calls ``scalar(ctx)``.  Each stored value has the bits ``scalar(ctx)``
+returns.  A pair, and so its table, serves one alpha(t): the table is not
+bounded, and the nodes of another t would not repeat.
 """
 
 from __future__ import annotations
@@ -141,6 +149,20 @@ def _lorentzian_sum_at_zero(terms):
                for t in terms)
 
 
+class _NodeTable(dict):
+    """J at the nodes where ``re`` of one integrand pair formed it; a miss
+    evaluates J by the family's ``scalar`` closure."""
+
+    __slots__ = ("_scalar",)
+
+    def __init__(self, scalar):
+        super().__init__()
+        self._scalar = scalar
+
+    def __missing__(self, w):
+        return self._scalar(w)
+
+
 def _real_integrand_at_zero(J, ctx):
     """re(0) of the quadrature integrands: J(w) coth(beta*hbar*w/2) / pi
     tends to 2/(beta*hbar*pi) * lim_{w->0+} J(w)/w."""
@@ -165,6 +187,10 @@ class _LorentzianFamily:
     def frequency_scale(self) -> float:
         """The largest gamma + omega_tilde over the terms."""
         return max(t.gamma + t.omega_tilde for t in self.terms)
+
+    def omega_j_limit(self) -> float:
+        """lim_{w->inf} w J(w): 0, as J decays like 1/w**2 or faster."""
+        return 0.0
 
 
 @dataclass(frozen=True, init=False)
@@ -199,12 +225,17 @@ class GLDD(_LorentzianFamily):
         """lim_{w->0+} J(w)/w; ``ctx`` is not needed."""
         return _lorentzian_sum_at_zero(self.terms) / math.pi
 
+    def omega_j_limit(self) -> float:
+        """lim_{w->inf} w J(w) = 2 sum_h lam*gamma / pi."""
+        return 2.0 * sum(t.lam * t.gamma for t in self.terms) / math.pi
+
     def quadrature_integrands(self, ctx: ThermalContext):
         """The quadrature integrand pair (re, j); see the module doc."""
         packed = _packed_lorentzians(self.terms)
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
         pi, tanh = math.pi, math.tanh
+        table = _NodeTable(self.scalar(ctx))
 
         def re(w):
             if w == 0.0:
@@ -215,9 +246,11 @@ class GLDD(_LorentzianFamily):
                 above = w + center
                 total += lam_gamma / (gamma2 + below * below) \
                     + lam_gamma / (gamma2 + above * above)
-            return w / pi * total / tanh(half_bh * w) / pi
+            j = w / pi * total
+            table[w] = j
+            return j / tanh(half_bh * w) / pi
 
-        return re, self.scalar(ctx)
+        return re, table.__getitem__
 
 
 @dataclass(frozen=True, init=False)
@@ -258,10 +291,13 @@ class TGLDD(_LorentzianFamily):
         """The quadrature integrand pair (re, j); see the module doc.
 
         coth(beta*hbar*w/2) cancels the tanh of J exactly, so ``re`` is the
-        Lorentzian sum over pi**2: smooth at w = 0 and free of tanh.
+        Lorentzian sum over pi**2, smooth at w = 0; it forms J from the same
+        sum only for the node table.
         """
         packed = _packed_lorentzians(self.terms)
-        pi = math.pi
+        bh = ctx.beta_hbar
+        pi, tanh = math.pi, math.tanh
+        table = _NodeTable(self.scalar(ctx))
 
         def re(w):
             total = 0.0
@@ -270,9 +306,10 @@ class TGLDD(_LorentzianFamily):
                 above = w + center
                 total += lam_gamma / (gamma2 + below * below) \
                     + lam_gamma / (gamma2 + above * above)
+            table[w] = tanh(bh * w / 2.0) / pi * total
             return total / pi / pi
 
-        return re, self.scalar(ctx)
+        return re, table.__getitem__
 
 
 @dataclass(frozen=True, init=False)
@@ -309,6 +346,7 @@ class MeierTannor(_LorentzianFamily):
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
         pi, tanh = math.pi, math.tanh
+        table = _NodeTable(self.scalar(ctx))
 
         def re(w):
             if w == 0.0:
@@ -319,9 +357,11 @@ class MeierTannor(_LorentzianFamily):
                 below = w - center
                 total += lam / ((gamma2 + above * above)
                                 * (gamma2 + below * below))
-            return pi * w / 2.0 * total / tanh(half_bh * w) / pi
+            j = pi * w / 2.0 * total
+            table[w] = j
+            return j / tanh(half_bh * w) / pi
 
-        return re, self.scalar(ctx)
+        return re, table.__getitem__
 
 
 @dataclass(frozen=True)
@@ -341,6 +381,10 @@ class PowerLaw:
     def frequency_scale(self) -> float:
         """cutoff * (1 + s), near the peak of J for s > 0."""
         return self.params.cutoff * (1.0 + self.params.exponent)
+
+    def omega_j_limit(self) -> float:
+        """lim_{w->inf} w J(w): 0 behind the exponential cutoff."""
+        return 0.0
 
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Pure-float closure w -> J(w) for w >= 0; ``ctx`` is not needed."""
@@ -374,14 +418,16 @@ class PowerLaw:
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
         pi, tanh, exp = math.pi, math.tanh, math.exp
+        table = _NodeTable(self.scalar(ctx))
 
         def re(w):
             if w == 0.0:
                 return at_zero
-            return amplitude * w**exponent * exp(-((w / cutoff) ** stretching)) \
-                / tanh(half_bh * w) / pi
+            j = amplitude * w**exponent * exp(-((w / cutoff) ** stretching))
+            table[w] = j
+            return j / tanh(half_bh * w) / pi
 
-        return re, self.scalar(ctx)
+        return re, table.__getitem__
 
 
 @dataclass(frozen=True)
@@ -423,6 +469,10 @@ class Tabulated:
     def frequency_scale(self) -> float:
         return self.omega_max
 
+    def omega_j_limit(self) -> float:
+        """lim_{w->inf} w J(w): 0, as the interpolant ends at omega_max."""
+        return 0.0
+
     def scalar(self, ctx: ThermalContext = None) -> Callable[[float], float]:
         """Float closure w -> J(w) (linear interpolation); ``ctx`` is not
         needed."""
@@ -445,14 +495,16 @@ class Tabulated:
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
         pi, tanh, interp = math.pi, math.tanh, np.interp
+        table = _NodeTable(self.scalar(ctx))
 
         def re(w):
             if w == 0.0:
                 return at_zero
-            return float(interp(w, omega, j, left=0.0, right=0.0)) \
-                / tanh(half_bh * w) / pi
+            value = float(interp(w, omega, j, left=0.0, right=0.0))
+            table[w] = value
+            return value / tanh(half_bh * w) / pi
 
-        return re, self.scalar(ctx)
+        return re, table.__getitem__
 
 
 SpectralDensity = Union[GLDD, TGLDD, MeierTannor, PowerLaw, Tabulated]

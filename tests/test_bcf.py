@@ -220,6 +220,78 @@ class TestAlphaQuadrature:
             bk.alpha_quadrature(DRUDE, CTX, 0.0)
         assert err.value.achieved is not None
 
+    def test_gldd_t0_fails_before_quadrature(self, monkeypatch):
+        # J ~ 2 sum(lam*gamma) / (pi w) at large w decides without integrating
+        def no_integrands(self, ctx):
+            raise AssertionError("alpha(0) was integrated")
+
+        monkeypatch.setattr(bk.GLDD, "quadrature_integrands", no_integrands)
+        with pytest.raises(bk.AccuracyError, match="logarithmically") as err:
+            bk.alpha_quadrature(DRUDE, CTX, 0.0)
+        assert err.value.achieved == math.inf
+
+    def test_gldd_cancelling_tail_t0_against_extended_precision(self):
+        # lam*gamma sums to 1*1 - 0.5*2 = 0: J decays like 1/w**3 and
+        # alpha(0) is finite
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 25
+        terms = [(1.0, 1.0, 2.0), (-0.5, 2.0, 2.0)]
+        J = bk.GLDD([bk.LorentzianTerm(*term) for term in terms])
+        assert J.omega_j_limit() == 0.0
+
+        def integrand(w):
+            j = w / mpmath.pi * sum(
+                lam * gam / (gam**2 + (w - w0) ** 2)
+                + lam * gam / (gam**2 + (w + w0) ** 2)
+                for lam, gam, w0 in terms)
+            return j * mpmath.coth(w / 2)
+
+        ref = float(mpmath.quad(integrand, [0, 2, 10, mpmath.inf]) / mpmath.pi)
+        got = bk.alpha_quadrature(J, CTX, 0.0)
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(ref, rel=1e-9)
+
+    def test_gldd_zero_coupling_t0_is_zero(self):
+        J = bk.GLDD([bk.LorentzianTerm(0.0, 1.0, 2.0)])
+        assert bk.alpha_quadrature(J, CTX, 0.0) == 0.0
+
+    def test_steep_power_law_overflow_is_typed(self):
+        # J(w) = w**400 exp(-w) peaks near exp(1996), beyond the float range
+        J = bk.PowerLaw.create(1.0, 400.0, 1.0)
+        for route in (bk.alpha_quadrature, bk.alpha_powerlaw_closed_form):
+            with pytest.raises(bk.RangeError) as err:
+                route(J, CTX, 1.0)
+            assert isinstance(err.value, bk.BathkitError)
+
+    def test_one_density_evaluation_per_node(self, monkeypatch):
+        # the sine pass reads J from the node table the cosine pass filled
+        J = bk.GLDD([bk.LorentzianTerm(0.8, 1.5, 2.0),
+                     bk.LorentzianTerm(0.3, 0.4)])
+        tol = bcf._default_tol(J, CTX)
+        expected = bk.alpha_quadrature(J, CTX, 1.0, tol=tol)
+        counts = {"re": 0, "j": 0, "density": 0}
+        scalar, integrands = bk.GLDD.scalar, bk.GLDD.quadrature_integrands
+
+        def counted(name, f):
+            def g(w):
+                counts[name] += 1
+                return f(w)
+            return g
+
+        def counted_pair(self, ctx):
+            re, j = integrands(self, ctx)
+            return counted("re", re), counted("j", j)
+
+        monkeypatch.setattr(bk.GLDD, "scalar", lambda self, ctx=None:
+                            counted("density", scalar(self, ctx)))
+        monkeypatch.setattr(bk.GLDD, "quadrature_integrands", counted_pair)
+        assert bk.alpha_quadrature(J, CTX, 1.0, tol=tol) == expected
+        # every re call counts as a density evaluation (re(0) is not one)
+        evaluations = counts["re"] + counts["density"]
+        callbacks = counts["re"] + counts["j"]
+        assert counts["j"] > 100
+        assert evaluations <= 0.6 * callbacks
+
 
 class TestSeriesBuilders:
     def test_zero_coupling_gives_zero(self):
@@ -393,6 +465,19 @@ class TestConvergeSeries:
             bk.converge_series(J, CTX, 1e-6, t_grid=grid)
         assert err.value.best_error is not None
         assert err.value.best_result is not None
+
+    def test_stall_carries_quadrature_reference(self):
+        J = bk.MeierTannor([bk.LorentzianTerm(1.0, 1.0, 1.0)])
+        grid = default_time_grid(CTX, 41)
+        with pytest.raises(bk.ConvergenceError) as err:
+            bk.converge_series(J, CTX, 1e-6, t_grid=grid)
+        t, alpha = err.value.reference
+        tol = err.value.reference_tol
+        assert tol == bcf._default_tol(J, CTX)
+        np.testing.assert_array_equal(t, grid)
+        for i in (0, 7, 40):
+            assert alpha[i] == bk.alpha_quadrature(J, CTX, float(t[i]),
+                                                   tol=tol)
 
     def test_unsupported_family(self):
         with pytest.raises(bk.InvalidInputError):

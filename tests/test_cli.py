@@ -53,6 +53,37 @@ cutoff = 2.0
 """
 
 
+MT_SPEC = """\
+[thermal]
+beta = 1.3
+
+[spectral_density]
+family = mt
+term.1 = 1.0, 1.0, 1.0
+
+[task]
+tmax = 6.5
+points = 201
+"""
+
+STEEP_POWERLAW_SPEC = POWERLAW_SPEC.replace(
+    "exponent = 1.0", "exponent = 400.0").replace(
+    "cutoff = 2.0", "cutoff = 1.0")
+
+
+def count_quadratures(monkeypatch):
+    """Count the calls of ``bcf.alpha_quadrature`` from here on."""
+    calls = []
+    alpha_quadrature = bk.bcf.alpha_quadrature
+
+    def counted(J, ctx, t, tol=None):
+        calls.append(t)
+        return alpha_quadrature(J, ctx, t, tol)
+
+    monkeypatch.setattr(bk.bcf, "alpha_quadrature", counted)
+    return calls
+
+
 class TestPade:
     def test_order1_be_row(self, capsys):
         code, out, _ = run_cli(["pade", "--stat", "be", "--order", "1"],
@@ -129,6 +160,29 @@ class TestAlpha:
                        for ti, a in zip(t, alpha))
         assert out == "t,re_alpha,im_alpha\n" + rows
 
+    def test_stalled_series_reuses_its_reference(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the Meier-Tannor series stalls; its 201-point reference on
+        # [0, 5 beta] is the quadrature fallback's grid
+        spec = write_spec(tmp_path, MT_SPEC)
+        calls = count_quadratures(monkeypatch)
+        code, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 0 and "falling back to quadrature" in err
+        assert len(calls) == 201
+        code, pointwise, _ = run_cli(
+            ["alpha", "--spec", spec, "--method", "quadrature"], capsys)
+        assert code == 0 and len(calls) == 402
+        assert out == pointwise
+
+    def test_steep_power_law_is_numerical_failure(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, STEEP_POWERLAW_SPEC)
+        for method in ("auto", "quadrature"):
+            code, out, err = run_cli(
+                ["alpha", "--spec", spec, "--tmax", "1", "--points", "3",
+                 "--method", method], capsys)
+            assert code == 4
+            assert "float range" in err and out == ""
+
     @pytest.mark.parametrize("method,spec_text", [
         ("closed", DRUDE_SPEC),
         ("series", POWERLAW_SPEC),
@@ -198,6 +252,17 @@ class TestFit:
                 ["fit", "--spec", spec, "--kmax", "2", "--seed", "3"], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
+
+    def test_spec_fallback_reuses_reference(self, tmp_path, capsys,
+                                            monkeypatch):
+        # 101 points on [0, 5 beta] are every other time of the stalled
+        # series' 201-point reference
+        spec = write_spec(tmp_path, MT_SPEC.replace("points = 201",
+                                                    "points = 101"))
+        calls = count_quadratures(monkeypatch)
+        code, _, err = run_cli(["fit", "--spec", spec], capsys)
+        assert code == 0 and "quadrature" in err
+        assert len(calls) == 201
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--k", "1"], capsys)
@@ -288,6 +353,12 @@ class TestLambda:
         code, out, _ = run_cli(["lambda", "--spec", spec], capsys)
         assert code == 0
         assert float(out.strip()) == 2.0
+
+    def test_steep_power_law_is_numerical_failure(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, STEEP_POWERLAW_SPEC)
+        code, out, err = run_cli(["lambda", "--spec", spec], capsys)
+        assert code == 4
+        assert "float range" in err and out == ""
 
     def test_divergent_is_numerical_failure(self, tmp_path, capsys):
         spec = write_spec(tmp_path, POWERLAW_SPEC.replace(

@@ -4,6 +4,7 @@ oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
 
@@ -103,6 +104,50 @@ class TestEtaStrang:
             bk.eta_strang(UNIT, 1.0, 1)
 
 
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def decaying_cases(draw, max_steps):
+    """(series, dt, N): 1-3 decaying terms, |omega| dt from ~1e-3 to ~5."""
+    count = draw(st.integers(1, 3))
+    part = st.floats(-2.0, 2.0)
+    p = [complex(draw(part), draw(part)) for _ in range(count)]
+    omega = [complex(-draw(st.floats(1e-3, 3.0)), draw(st.floats(-4.0, 4.0)))
+             for _ in range(count)]
+    dt = draw(st.floats(0.05, 1.0))
+    N = draw(st.integers(2, max_steps))
+    return bk.ExponentialSeries(p, omega), dt, N
+
+
+class TestEtaProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(case=decaying_cases(max_steps=4))
+    def test_trotter_matches_oracle(self, case):
+        # the oracle integrates each part to 1e-10, absolute or relative
+        series, dt, N = case
+        grid = bk.eta_trotter(series, dt, N)
+        fn = alpha_of(series)
+        tol = 1e-9 * (1.0 + np.sum(np.abs(series.p)) * dt**2)
+        diag = bk.eta_oracle(fn, (0.0, dt), None, triangular=True)
+        assert grid.diag[0] == pytest.approx(diag, abs=tol)
+        for m in range(1, min(N, 3) + 1):
+            lag = bk.eta_oracle(fn, (m * dt, (m + 1) * dt), (0.0, dt))
+            assert grid.kernel(m) == pytest.approx(lag, abs=tol)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=decaying_cases(max_steps=64))
+    def test_strang_end_row_mirrors_first_column(self, case):
+        # eta_Nk and eta_k0 sum the same terms at exponents rounded
+        # differently (N dt - k dt - dt/4 against k dt - dt/4); over 2e4
+        # random cases of this range they differed by at most
+        # 33 eps * sum|p| dt**2
+        series, dt, N = case
+        grid = bk.eta_strang(series, dt, N)
+        tol = 128 * EPS * np.sum(np.abs(series.p)) * dt**2
+        assert np.max(np.abs(grid.eta_Nk - grid.eta_k0[::-1])) <= tol
+
+
 class TestEtaOracle:
     def test_rectangle_matches_trotter(self):
         grid = bk.eta_trotter(UNIT, 1.0, 3)
@@ -163,6 +208,12 @@ class TestReorganizationEnergy:
             expected += a * np.log(w2 / w1) + b * (w2 - w1)
         assert bk.reorganization_energy(bk.Tabulated(omega, j)) \
             == pytest.approx(expected, rel=1e-12)
+
+    def test_steep_power_law_overflow_is_typed(self):
+        # Gamma(400) and the true lambda lie beyond the float range
+        with pytest.raises(bk.RangeError) as err:
+            bk.reorganization_energy(bk.PowerLaw.create(1.0, 400.0, 1.0))
+        assert isinstance(err.value, bk.BathkitError)
 
     def test_divergent_cases(self):
         for J in (bk.PowerLaw.create(1.0, 0.0, 1.0),

@@ -1,6 +1,7 @@
 """Tests for the core data model: contexts, spectral densities, series."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -176,6 +177,52 @@ class TestQuadratureIntegrands:
             assert slope[1] > 10.0 * slope[0]  # J(w)/w grows without bound
         else:
             assert limit == pytest.approx(slope[1], rel=1e-9, abs=1e-12)
+
+
+def _counting_scalar(J, calls):
+    """A ``scalar`` method for J's family whose closures record each w."""
+    original = type(J).scalar
+
+    def scalar(self, ctx=None):
+        j = original(self, ctx)
+
+        def counted(w):
+            calls.append(w)
+            return j(w)
+        return counted
+
+    return scalar
+
+
+class TestNodeTable:
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    @settings(max_examples=100, deadline=None)
+    @given(w=st.one_of(st.sampled_from([0.0, 1e-12, 1e-9]),
+                       st.floats(1e-6, 1e3)),
+           re_first=st.booleans())
+    def test_j_is_scalar_bit_for_bit(self, name, w, re_first):
+        J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
+        re, j = J.quadrature_integrands(ctx)
+        if re_first:
+            re(w)
+        got = j(w)
+        assert type(got) is float
+        assert got.hex() == J.scalar(ctx)(w).hex()
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    @settings(max_examples=50, deadline=None)
+    @given(w=st.floats(1e-6, 1e3))
+    def test_pairs_share_no_table(self, name, w):
+        J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
+        calls = []
+        with mock.patch.object(type(J), "scalar", _counting_scalar(J, calls)):
+            re1, j1 = J.quadrature_integrands(ctx)
+            re2, j2 = J.quadrature_integrands(ctx)
+        re1(w)
+        j1(w)
+        assert calls == []  # the first pair's table holds w
+        j2(w)
+        assert calls == [w]  # the second pair's does not
 
 
 class TestBoseEinstein:
