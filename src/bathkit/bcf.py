@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate as _si
 
 from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
@@ -95,8 +94,9 @@ class AlphaSamples:
 
 def _scipy_quad(f, a, b, **kwargs):
     """scipy.quad with an integrand overflow raised as RangeError."""
+    from scipy.integrate import quad
     try:
-        return _si.quad(f, a, b, **kwargs)
+        return quad(f, a, b, **kwargs)
     except OverflowError as exc:
         raise RangeError(
             f"the integrand overflows the float range ({exc})") from exc
@@ -104,6 +104,7 @@ def _scipy_quad(f, a, b, **kwargs):
 
 def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
     """scipy.quad with integration warnings promoted to AccuracyError."""
+    from scipy.integrate import IntegrationWarning
     kwargs = dict(epsabs=epsabs, limit=max_panels)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar)
@@ -112,10 +113,10 @@ def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
     else:
         kwargs["epsrel"] = max(1e-12, epsabs)
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", _si.IntegrationWarning)
+        warnings.simplefilter("always", IntegrationWarning)
         value, abserr = _scipy_quad(f, a, b, **kwargs)
     for w in caught:
-        if issubclass(w.category, _si.IntegrationWarning):
+        if issubclass(w.category, IntegrationWarning):
             raise AccuracyError(
                 f"quadrature did not converge: {w.message}", achieved=abserr)
     return value

@@ -353,13 +353,6 @@ def _cmd_fit(args):
         t = np.linspace(0.0, tmax, points)
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
-        if alpha[0].imag != 0.0:
-            # the exact transform has no sine term at t = 0; a residual
-            # imaginary part is representation error and is projected away
-            print("note: dropped spurious Im(alpha(0)) = "
-                  f"{alpha[0].imag:.3e} from the sampled objectives",
-                  file=sys.stderr)
-            alpha[0] = alpha[0].real
         if seed is None and "seed" in spec.task:
             seed = spec.task_int("seed")
         k = args.k if args.k is not None else spec.task_int("k", 1)
@@ -373,6 +366,14 @@ def _cmd_fit(args):
             raise InvalidInputError("fit: --k or --kmax is required")
         k = args.k if args.k is not None else 1
         kmax = args.kmax
+    if alpha[0].imag != 0.0:
+        # the exact transform has no sine term at t = 0; a residual
+        # imaginary part (a series gives the t -> 0+ limit) is
+        # representation error and is projected away
+        print("note: dropped spurious Im(alpha(0)) = "
+              f"{alpha[0].imag:.3e} from the sampled objectives",
+              file=sys.stderr)
+        alpha[0] = alpha[0].real
 
     weights = None
     if args.weights is not None:

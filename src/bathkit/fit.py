@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .bcf import AlphaSamples, _series_builder_for
 from .errors import InvalidInputError, ZeroAmplitudeError
@@ -320,6 +319,7 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
     iteration, and hitting the iteration cap yields converged=False rather
     than an exception.
     """
+    from scipy.optimize import least_squares
     if start.count != config.K:
         raise InvalidInputError(
             f"start has {start.count} terms but config.K = {config.K}")

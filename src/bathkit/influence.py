@@ -15,11 +15,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate as _si
 
 from .errors import (AccuracyError, DivergenceError, InvalidInputError,
                      RangeError)
-from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity,
+from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
                     ExponentialSeries, ThermalContext)
 
 __all__ = [
@@ -187,8 +186,9 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
 
     ``ctx`` is required for the thermally scaled family, whose definition
     carries tanh(beta*hbar*w/2); the other families have temperature-free
-    values.  Families without a closed form (TGLDD, Tabulated) are integrated
-    over [0, J.omega_max].
+    values.  The linear interpolant of a Tabulated density is integrated
+    exactly, segment by segment; TGLDD, the one family without a closed
+    form, is integrated over [0, J.omega_max].
     """
     if J.small_omega_exponent() <= 0:
         raise DivergenceError(
@@ -209,8 +209,24 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
             raise RangeError(
                 f"reorganization energy overflows the float range ({exc})"
             ) from exc
+    if isinstance(J, Tabulated):
+        return _tabulated_lambda(J.omega, J.j)
     integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
     return _quad_lambda(integrand, 0.0, J.omega_max)
+
+
+def _tabulated_lambda(w, j):
+    """Sum over segments of int (a + b w)/w dw = a ln(w2/w1) + b (w2 - w1),
+    where J = a + b w on [w1, w2].  ln(w2/w1) is taken as
+    log1p((w2 - w1)/w1), which keeps its digits on fine grids.  A segment
+    from w = 0 has a = J(0) = 0 (the integral would diverge otherwise) and
+    contributes b w2."""
+    w1, dw = w[:-1], np.diff(w)
+    b = np.diff(j) / dw
+    a = j[:-1] - b * w1
+    inner = w1 > 0.0
+    return float(np.sum(a[inner] * np.log1p(dw[inner] / w1[inner]))
+                 + np.sum(b * dw))
 
 
 def _over_omega(j, at_zero):
@@ -219,11 +235,12 @@ def _over_omega(j, at_zero):
 
 
 def _quad_lambda(f, a, b):
+    from scipy.integrate import IntegrationWarning, quad
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", _si.IntegrationWarning)
-        value, abserr = _si.quad(f, a, b, limit=400, epsabs=1e-12, epsrel=1e-12)
+        warnings.simplefilter("always", IntegrationWarning)
+        value, abserr = quad(f, a, b, limit=400, epsabs=1e-12, epsrel=1e-12)
     for w in caught:
-        if issubclass(w.category, _si.IntegrationWarning):
+        if issubclass(w.category, IntegrationWarning):
             raise AccuracyError(
                 f"reorganization quadrature did not converge: {w.message}",
                 achieved=abserr)
@@ -263,6 +280,7 @@ def eta_oracle(alpha_fn, window_t, window_tp, triangular: bool = False,
     (``window_tp`` is ignored); otherwise the full rectangle
     ``window_t`` x ``window_tp``.  Used to validate the closed forms.
     """
+    from scipy.integrate import IntegrationWarning, dblquad
     a, b = map(float, window_t)
     if b < a:
         raise InvalidInputError(f"empty t window [{a}, {b}]")
@@ -279,12 +297,12 @@ def eta_oracle(alpha_fn, window_t, window_tp, triangular: bool = False,
 
     def run(part):
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", _si.IntegrationWarning)
-            value, abserr = _si.dblquad(
+            warnings.simplefilter("always", IntegrationWarning)
+            value, abserr = dblquad(
                 lambda tp, t: part(alpha_fn(t - tp)), a, b, lo, hi,
                 epsabs=tol, epsrel=tol)
         for w in caught:
-            if issubclass(w.category, _si.IntegrationWarning):
+            if issubclass(w.category, IntegrationWarning):
                 raise AccuracyError(
                     f"window quadrature did not converge: {w.message}",
                     achieved=abserr)

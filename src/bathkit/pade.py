@@ -15,7 +15,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidInputError
 from .model import ThermalContext
@@ -73,6 +72,7 @@ def _positive_rates(size, offset):
     size x size (size >= 2) tridiagonal matrix with zero diagonal and the
     given coupling offset.  The bisection LAPACK driver is used for
     cross-platform determinism."""
+    from scipy.linalg import eigh_tridiagonal
     eig = np.sort(eigh_tridiagonal(np.zeros(size), _couplings(size, offset),
                                    eigvals_only=True, lapack_driver="stebz"))
     scale = max(abs(eig[0]), abs(eig[-1]))

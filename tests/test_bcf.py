@@ -206,7 +206,7 @@ class TestAlphaQuadrature:
             seen.update(kwargs)
             return 0.0, 0.0
 
-        monkeypatch.setattr(bcf._si, "quad", quad)
+        monkeypatch.setattr("scipy.integrate.quad", quad)
         bcf._quad(math.exp, 0.0, upper, weight="cos", wvar=1.0, epsabs=1e-9)
         assert seen["limlst"] == 400
 

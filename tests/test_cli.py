@@ -264,6 +264,33 @@ class TestFit:
         assert code == 0 and "quadrature" in err
         assert len(calls) == 201
 
+    def test_alpha_file_from_series_route(self, tmp_path, capsys):
+        # the series route writes the t -> 0+ limit of Im alpha(0); fit
+        # --alpha-file projects it away, as fit --spec does
+        spec = write_spec(tmp_path, DRUDE_SPEC)
+        alpha_csv = str(tmp_path / "alpha.csv")
+        with pytest.warns(UserWarning):
+            assert main(["alpha", "--spec", spec, "--out", alpha_csv]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "alpha.csv").read_text().splitlines()
+        t0, re0, im0 = lines[1].split(",")
+        assert t0 == "0" and float(im0) != 0.0
+        with pytest.warns(UserWarning):
+            code, out, err = run_cli(
+                ["fit", "--alpha-file", alpha_csv, "--kmax", "2"], capsys)
+        assert code == 0
+        assert f"dropped spurious Im(alpha(0)) = {float(im0):.3e}" in err
+
+        projected = tmp_path / "projected.csv"
+        projected.write_text("\n".join(
+            lines[:1] + [f"0,{re0},0"] + lines[2:]) + "\n")
+        with pytest.warns(UserWarning):
+            code, out_projected, err_projected = run_cli(
+                ["fit", "--alpha-file", str(projected), "--kmax", "2"],
+                capsys)
+        assert code == 0 and "dropped" not in err_projected
+        assert out == out_projected
+
     def test_requires_exactly_one_source(self, tmp_path, capsys):
         code, _, err = run_cli(["fit", "--k", "1"], capsys)
         assert code == 3

@@ -209,6 +209,21 @@ class TestReorganizationEnergy:
         assert bk.reorganization_energy(bk.Tabulated(omega, j)) \
             == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("points, w_hi", [(61, 30.0), (400, 20.0)])
+    def test_tabulated_exact_against_mpmath(self, points, w_hi):
+        # samples of w exp(-w/4): quadrature of J/w detected roundoff here
+        mpmath = pytest.importorskip("mpmath")
+        omega = np.linspace(0.0, w_hi, points)
+        j = omega * np.exp(-omega / 4.0)
+        with mpmath.workdps(30):
+            w, jw = ([mpmath.mpf(x) for x in v] for v in (omega, j))
+            expected = sum(
+                mpmath.quad(lambda x: (j1 + (j2 - j1) / (w2 - w1) * (x - w1))
+                            / x, [w1, w2])
+                for w1, w2, j1, j2 in zip(w, w[1:], jw, jw[1:]))
+        assert bk.reorganization_energy(bk.Tabulated(omega, j)) \
+            == pytest.approx(float(expected), rel=4 * np.finfo(float).eps)
+
     def test_steep_power_law_overflow_is_typed(self):
         # Gamma(400) and the true lambda lie beyond the float range
         with pytest.raises(bk.RangeError) as err:
