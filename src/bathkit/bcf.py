@@ -102,14 +102,17 @@ def _scipy_quad(f, a, b, **kwargs):
             f"the integrand overflows the float range ({exc})") from exc
 
 
-def _quad(f, a, b, *, weight=None, wvar=None, epsabs, max_panels=400):
+_QUAD_PANELS = 400  # QUADPACK's subinterval (and Fourier cycle) limit
+
+
+def _quad(f, a, b, *, weight=None, wvar=None, epsabs):
     """scipy.quad with integration warnings promoted to AccuracyError."""
     from scipy.integrate import IntegrationWarning
-    kwargs = dict(epsabs=epsabs, limit=max_panels)
+    kwargs = dict(epsabs=epsabs, limit=_QUAD_PANELS)
     if weight is not None:
         kwargs.update(weight=weight, wvar=wvar)
         if b == np.inf and weight in ("cos", "sin"):
-            kwargs["limlst"] = max_panels
+            kwargs["limlst"] = _QUAD_PANELS
     else:
         kwargs["epsrel"] = max(1e-12, epsabs)
     with warnings.catch_warnings(record=True) as caught:

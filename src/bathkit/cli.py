@@ -143,15 +143,7 @@ class ProblemSpec:
         return self.density
 
     def task_float(self, key, default=None):
-        if key not in self.task:
-            if default is None:
-                raise InvalidInputError(f"task.{key}: missing from spec file")
-            return default
-        try:
-            return float(self.task[key])
-        except ValueError:
-            raise InvalidInputError(
-                f"task.{key}: expected a number, got {self.task[key]!r}")
+        return _spec_float(self.task, "task", key, default)
 
     def task_int(self, key, default=None):
         value = self.task_float(key, default)
@@ -381,7 +373,9 @@ def _cmd_fit(args):
         weights = wdata[:, -1]
     samples = bcf.AlphaSamples(t, alpha, weights)
 
-    config = fitmod.FitConfig(K=k, rng_seed=0 if seed is None else int(seed))
+    if k < 1:
+        raise InvalidInputError(f"K must be >= 1, got {k}")
+    config = fitmod.FitConfig(rng_seed=0 if seed is None else int(seed))
     ladder = fitmod.incremental_fit(samples, kmax if kmax else k, config)
     best = min(ladder, key=lambda r: r.rms_residual)
 

@@ -4,21 +4,24 @@ functions by sums of complex exponentials.
 The model is alpha(t) ~ sum_k p_k exp(omega_k t) with complex p_k, omega_k
 and the hard constraint Re(omega_k) <= -eps (decaying terms only).  Fitting
 happens on a scaled problem (times mapped to [0, 1], amplitudes to order 1)
-with an analytic Jacobian; a bounded trust-region solver enforces the
-constraint by projection.  An incremental driver grows the term count one at
-a time, seeding each new term from a perturbed copy of the last fitted one.
+with an analytic Jacobian; SciPy's bounded trust-region solver ("trf", the
+only one of its methods that takes bounds) enforces the constraint by
+projection.  The term count K is the start series' own; a one-term fit also
+keeps Re p_1 >= 0, since a negative weight there only flips the sign of the
+whole model.  An incremental driver grows the term count one at a time,
+seeding each new term from a perturbed copy of the last fitted one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bcf import AlphaSamples, _series_builder_for
 from .errors import InvalidInputError, ZeroAmplitudeError
-from .model import ExponentialSeries, ThermalContext, series_eval
+from .model import _EXP_CLAMP, ExponentialSeries, ThermalContext, series_eval
 
 __all__ = [
     "FitConfig",
@@ -38,42 +41,24 @@ class FitConfig:
     """Solver settings for :func:`fit_exponentials`.
 
     ``epsilon`` is the decay-constraint margin on the scaled problem, i.e.
-    Re(omega * t_end) <= -epsilon.  That bound is hard, so ``solver`` must be
-    ``"trf"``, SciPy's bounded trust-region method; ``"lm"`` is rejected
-    because SciPy's Levenberg-Marquardt takes no bounds.
-    ``enforce_p1_positive`` defaults to automatic: on for single-term fits,
-    where a negative weight can only flip the sign of the whole model, off
-    otherwise.
+    Re(omega * t_end) <= -epsilon.  The bound is hard, so every fit runs
+    SciPy's bounded trust-region method ``"trf"``.  The term count is not a
+    setting: it is the start series' own, and a one-term fit (only) keeps
+    Re p_1 >= 0.
     """
 
-    K: int = 1
-    solver: str = "trf"
     max_iterations: int = 2000
     residual_tolerance: float = 1e-12
     parameter_tolerance: float = 1e-14
     epsilon: float = 1e-8
-    enforce_p1_positive: bool = None
     rng_seed: int = 0
     symmetrize_conjugates: bool = False
 
     def __post_init__(self):
-        if self.K < 1:
-            raise InvalidInputError(f"K must be >= 1, got {self.K}")
         if not self.epsilon > 0:
             raise InvalidInputError("epsilon must be positive")
         if not (self.residual_tolerance > 0 and self.parameter_tolerance > 0):
             raise InvalidInputError("tolerances must be positive")
-        if self.solver != "trf":
-            raise InvalidInputError(
-                f"solver must be 'trf', got {self.solver!r}: the decay bound "
-                "Re(omega') <= -epsilon is hard, and SciPy's 'lm' "
-                "(Levenberg-Marquardt) takes no bounds")
-
-    @property
-    def p1_positive(self) -> bool:
-        if self.enforce_p1_positive is None:
-            return self.K == 1
-        return self.enforce_p1_positive
 
 
 @dataclass(frozen=True)
@@ -85,7 +70,6 @@ class FitResult:
     rms_residual: float
     iterations: int
     converged: bool
-    residuals: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,19 +146,14 @@ def objective_jacobian(params, samples: AlphaSamples) -> np.ndarray:
     p, omega = _unpack(params)
     t = samples.t
     w = samples.effective_weights
-    jac = np.empty((2 * t.size, 4 * p.size))
     wt = omega[:, None] * t[None, :]
-    e = np.exp(np.clip(wt.real, None, 700.0) + 1j * wt.imag)
-    for k in range(p.size):
-        dm = {
-            0: e[k],
-            1: 1j * e[k],
-            2: p[k] * t * e[k],
-            3: 1j * p[k] * t * e[k],
-        }
-        for off, deriv in dm.items():
-            jac[0::2, 4 * k + off] = -w * deriv.real
-            jac[1::2, 4 * k + off] = -w * deriv.imag
+    e = np.exp(np.clip(wt.real, None, _EXP_CLAMP) + 1j * wt.imag)
+    # row 4k + j: d(model)/d(Re p, Im p, Re omega, Im omega)_k
+    deriv = np.stack([e, 1j * e, p[:, None] * t * e,
+                      1j * p[:, None] * t * e], axis=1).reshape(-1, t.size)
+    jac = np.empty((2 * t.size, 4 * p.size))
+    jac[0::2] = (-w * deriv.real).T
+    jac[1::2] = (-w * deriv.imag).T
     return jac
 
 
@@ -274,12 +253,12 @@ def starting_values_heuristic(samples: AlphaSamples) -> ExponentialSeries:
 # solver
 # ---------------------------------------------------------------------------
 
-def _bounds(K, epsilon, p1_positive):
+def _bounds(K, epsilon):
     lb = np.full(4 * K, -np.inf)
     ub = np.full(4 * K, np.inf)
     ub[2::4] = -epsilon  # Re(omega') <= -eps: decaying terms only
-    if p1_positive:
-        lb[0] = 0.0
+    if K == 1:
+        lb[0] = 0.0  # Re p' >= 0: a negative weight only flips the model
     return lb, ub
 
 
@@ -312,25 +291,23 @@ def _symmetrize_conjugates(series, tol=1e-6):
 
 def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
                      config: FitConfig) -> FitResult:
-    """Bounded trust-region least squares from ``start``.
+    """Bounded trust-region least squares from ``start``, with as many terms
+    as ``start`` has.
 
     The problem is rescaled (t to [0, 1], amplitudes to order 1), infeasible
-    starts are projected onto Re(omega') <= -epsilon before the first
-    iteration, and hitting the iteration cap yields converged=False rather
-    than an exception.
+    starts are projected onto Re(omega') <= -epsilon (and, for one term,
+    Re p' >= 0) before the first iteration, and hitting the iteration cap
+    yields converged=False rather than an exception.
     """
     from scipy.optimize import least_squares
-    if start.count != config.K:
-        raise InvalidInputError(
-            f"start has {start.count} terms but config.K = {config.K}")
     transform = ScalingTransform.for_samples(samples)
     scaled = transform.scale_samples(samples)
-    lb, ub = _bounds(config.K, config.epsilon, config.p1_positive)
+    lb, ub = _bounds(start.count, config.epsilon)
     x0 = _project(_pack(transform.scale_series(start)), lb, ub)
 
     result = least_squares(
         objective_residuals, x0, jac=objective_jacobian, args=(scaled,),
-        bounds=(lb, ub), method=config.solver,
+        bounds=(lb, ub), method="trf",
         ftol=config.residual_tolerance, xtol=config.parameter_tolerance,
         gtol=1e-14, max_nfev=config.max_iterations)
 
@@ -342,8 +319,7 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
     return FitResult(series=transform.unscale_series(series),
                      rms_residual=rms,
                      iterations=int(result.nfev),
-                     converged=bool(result.status > 0),
-                     residuals=result.fun)
+                     converged=bool(result.status > 0))
 
 
 def incremental_fit(samples: AlphaSamples, K_max: int,
@@ -365,8 +341,7 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     results = []
     start = starting_values_heuristic(samples)
     for K in range(1, K_max + 1):
-        cfg = replace(config, K=K)
-        fit = fit_exponentials(samples, start, cfg)
+        fit = fit_exponentials(samples, start, config)
         if results and fit.rms_residual > results[-1].rms_residual:
             # the perturbed start lost to the previous optimum; restart from
             # the previous fit padded with a zero-weight copy, a feasible
@@ -374,7 +349,7 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
             prev = results[-1].series
             retry = ExponentialSeries(
                 np.append(prev.p, 0.0), np.append(prev.omega, prev.omega[-1]))
-            refit = fit_exponentials(samples, retry, cfg)
+            refit = fit_exponentials(samples, retry, config)
             if refit.rms_residual < fit.rms_residual:
                 fit = refit
         results.append(fit)

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bcf import _quad
 from .errors import (AccuracyError, DivergenceError, InvalidInputError,
                      RangeError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
@@ -105,12 +106,6 @@ def _full_diag(series, dt):
     return complex(np.sum(series.p * dt**2 * _phi2(series.omega * dt)))
 
 
-def _half_diag(series, dt):
-    # triangle window of width dt/2 at the grid ends of a Strang splitting
-    h = dt / 2.0
-    return complex(np.sum(series.p * h**2 * _phi2(series.omega * h)))
-
-
 def _lag_kernel(series, dt, N):
     # full rectangle windows: 4 sum p/w^2 sinh^2(w dt/2) e^{w m dt}
     m = np.arange(1, N + 1)
@@ -157,16 +152,16 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     s4 = _sinhc(w * dt / 4.0)
 
     diag = np.full(N + 1, _full_diag(series, dt), dtype=complex)
-    diag[0] = diag[N] = _half_diag(series, dt)
+    # triangle windows of width dt/2 at the grid ends
+    diag[0] = diag[N] = _full_diag(series, dt / 2.0)
 
     k = np.arange(1, N)
-    # full column window x half source window [0, dt/2]
-    amp_k0 = p * (dt**2 / 2.0) * s2 * s4
-    eta_k0 = (amp_k0[:, None]
+    # one full-width and one half-width window: the column k x [0, dt/2],
+    # and the end [N dt - dt/2, N dt] x the source window around k' dt
+    amp = p * (dt**2 / 2.0) * s2 * s4
+    eta_k0 = (amp[:, None]
               * np.exp(w[:, None] * (k[None, :] * dt - dt / 4.0))).sum(axis=0)
-    # half end window x full source window around k' dt
-    amp_Nk = p * (dt**2 / 2.0) * s2 * s4
-    eta_Nk = (amp_Nk[:, None]
+    eta_Nk = (amp[:, None]
               * np.exp(w[:, None] * (t_end - k[None, :] * dt - dt / 4.0))).sum(axis=0)
     # half end window x half source window
     eta_N0 = complex(np.sum(
@@ -212,7 +207,7 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
     if isinstance(J, Tabulated):
         return _tabulated_lambda(J.omega, J.j)
     integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
-    return _quad_lambda(integrand, 0.0, J.omega_max)
+    return _quad(integrand, 0.0, J.omega_max, epsabs=1e-12)
 
 
 def _tabulated_lambda(w, j):
@@ -232,19 +227,6 @@ def _tabulated_lambda(w, j):
 def _over_omega(j, at_zero):
     """The float integrand w -> j(w)/w, equal to ``at_zero`` at w = 0."""
     return lambda w: j(w) / w if w != 0.0 else at_zero
-
-
-def _quad_lambda(f, a, b):
-    from scipy.integrate import IntegrationWarning, quad
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, abserr = quad(f, a, b, limit=400, epsabs=1e-12, epsrel=1e-12)
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            raise AccuracyError(
-                f"reorganization quadrature did not converge: {w.message}",
-                achieved=abserr)
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

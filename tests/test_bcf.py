@@ -122,7 +122,6 @@ class TestAlphaQuadrature:
     def test_against_extended_precision(self):
         # independent oracle: mpmath tanh-sinh quadrature of the transform
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
 
         def ref(t):
             # the integrand tail decays only as 1/w, so the oscillatory part
@@ -145,12 +144,13 @@ class TestAlphaQuadrature:
 
         for t in (0.3, 1.0, 4.0):
             got = bk.alpha_quadrature(DRUDE, CTX, t)
-            assert got == pytest.approx(ref(t), rel=1e-9)
+            with mpmath.workdps(30):
+                expected = ref(t)
+            assert got == pytest.approx(expected, rel=1e-9)
 
     def test_powerlaw_fractional_exponent(self):
         # 0 < s < 1 exercises the singularity-removing substitution
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
         J = bk.PowerLaw.create(1.0, 0.5, 1.0)
 
         def integrand(w):
@@ -158,13 +158,14 @@ class TestAlphaQuadrature:
             return j * (mpmath.coth(w / 2) * mpmath.cos(w * 0.7)
                         - 1j * mpmath.sin(w * 0.7))
 
-        ref = complex(mpmath.quad(integrand, [0, 1, 10, mpmath.inf])) / np.pi
+        with mpmath.workdps(30):
+            ref = complex(
+                mpmath.quad(integrand, [0, 1, 10, mpmath.inf])) / np.pi
         got = bk.alpha_quadrature(J, CTX, 0.7)
         assert got == pytest.approx(ref, rel=1e-8)
 
     def test_tabulated_finite_interval(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 25
         J = bk.Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
 
         def piece(w):
@@ -172,13 +173,13 @@ class TestAlphaQuadrature:
             return j * (mpmath.coth(w / 2) * mpmath.cos(w * 1.3)
                         - 1j * mpmath.sin(w * 1.3))
 
-        ref = complex(mpmath.quad(piece, [0, 1, 2])) / np.pi
+        with mpmath.workdps(25):
+            ref = complex(mpmath.quad(piece, [0, 1, 2])) / np.pi
         assert bk.alpha_quadrature(J, CTX, 1.3) == pytest.approx(ref, rel=1e-9)
 
     def test_tabulated_starting_above_zero(self):
         # the interpolant is 0 below its first sample and jumps at w = 0.5
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 25
         J = bk.Tabulated([0.5, 1.0, 2.0], [1.0, 0.5, 0.0])
 
         def piece(w):
@@ -186,7 +187,8 @@ class TestAlphaQuadrature:
             return j * (mpmath.coth(w / 2) * mpmath.cos(w)
                         - 1j * mpmath.sin(w))
 
-        ref = complex(mpmath.quad(piece, [0.5, 1, 2])) / np.pi
+        with mpmath.workdps(25):
+            ref = complex(mpmath.quad(piece, [0.5, 1, 2])) / np.pi
         assert bk.alpha_quadrature(J, CTX, 1.0) == pytest.approx(ref, rel=1e-9)
 
     def test_flat_density_diverges(self):
@@ -234,7 +236,6 @@ class TestAlphaQuadrature:
         # lam*gamma sums to 1*1 - 0.5*2 = 0: J decays like 1/w**3 and
         # alpha(0) is finite
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 25
         terms = [(1.0, 1.0, 2.0), (-0.5, 2.0, 2.0)]
         J = bk.GLDD([bk.LorentzianTerm(*term) for term in terms])
         assert J.omega_j_limit() == 0.0
@@ -246,7 +247,9 @@ class TestAlphaQuadrature:
                 for lam, gam, w0 in terms)
             return j * mpmath.coth(w / 2)
 
-        ref = float(mpmath.quad(integrand, [0, 2, 10, mpmath.inf]) / mpmath.pi)
+        with mpmath.workdps(25):
+            ref = float(
+                mpmath.quad(integrand, [0, 2, 10, mpmath.inf]) / mpmath.pi)
         got = bk.alpha_quadrature(J, CTX, 0.0)
         assert got.imag == 0.0
         assert got.real == pytest.approx(ref, rel=1e-9)
@@ -369,12 +372,12 @@ class TestPolygamma:
 
     def test_against_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
         rng = np.random.default_rng(4)
         for _ in range(10):
             z = complex(rng.uniform(0.05, 8.0), rng.uniform(-8.0, 8.0))
             n = int(rng.integers(0, 5))
-            ref = complex(mpmath.polygamma(n, z))
+            with mpmath.workdps(30):
+                ref = complex(mpmath.polygamma(n, z))
             assert bk.polygamma(n, z) == pytest.approx(ref, rel=1e-11)
 
     def test_pole(self):

@@ -296,6 +296,14 @@ class TestFit:
         assert code == 3
         assert "spec" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--kmax", "2"]])
+    def test_term_count_below_one_rejected(self, tmp_path, capsys, extra):
+        path = self._alpha_file(tmp_path)
+        code, out, err = run_cli(
+            ["fit", "--alpha-file", path, "--k", "0"] + extra, capsys)
+        assert code == 3 and out == ""
+        assert "K must be >= 1, got 0" in err
+
 
 class TestJw:
     def _series_file(self, tmp_path, series):

@@ -35,10 +35,11 @@ class TestObjective:
 
     def test_jacobian_matches_finite_differences(self):
         rng = np.random.default_rng(8)
-        samples = make_samples(
-            bk.ExponentialSeries([0.7, 0.3], [-0.5 + 3j, -2.0 - 1j]),
-            t_end=5.0, n=41)
-        for _ in range(5):
+        truth = bk.ExponentialSeries([0.7, 0.3], [-0.5 + 3j, -2.0 - 1j])
+        unweighted = make_samples(truth, t_end=5.0, n=41)
+        weighted = make_samples(truth, t_end=5.0, n=41,
+                                weights=np.linspace(0.1, 2.0, 41)**2)
+        for samples in [unweighted] * 5 + [weighted] * 5:
             K = int(rng.integers(1, 4))
             x = np.empty(4 * K)
             x[0::4] = rng.standard_normal(K)
@@ -54,6 +55,33 @@ class TestObjective:
                 fd = (objective_residuals(xp, samples)
                       - objective_residuals(xm, samples)) / (2 * step)
                 assert np.max(np.abs(jac[:, i] - fd)) <= 1e-6
+
+    def test_jacobian_bits_match_per_term_loop(self):
+        # reference: the per-term loop the array form replaced, with the
+        # same operations per element, so the bits must agree, weighted
+        # and not, up to and past the exponent clamp
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            K, n = int(rng.integers(1, 6)), int(rng.integers(5, 60))
+            t = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 10.0, n))])
+            weights = None if trial % 2 else rng.uniform(0.0, 3.0, n + 1)
+            samples = bk.AlphaSamples(t, rng.standard_normal(n + 1) + 0j,
+                                      weights)
+            x = rng.standard_normal(4 * K) * 3
+            x[2::4] = rng.uniform(-5.0, 100.0 if trial % 3 == 0 else 0.5, K)
+            p, omega = x[0::4] + 1j * x[1::4], x[2::4] + 1j * x[3::4]
+            w = samples.effective_weights
+            wt = omega[:, None] * t[None, :]
+            e = np.exp(np.clip(wt.real, None, 700.0) + 1j * wt.imag)
+            ref = np.empty((2 * t.size, 4 * K))
+            for k in range(K):
+                for off, deriv in enumerate(
+                        [e[k], 1j * e[k], p[k] * t * e[k],
+                         1j * p[k] * t * e[k]]):
+                    ref[0::2, 4 * k + off] = -w * deriv.real
+                    ref[1::2, 4 * k + off] = -w * deriv.imag
+            jac = objective_jacobian(x, samples)
+            assert jac.tobytes() == ref.tobytes()
 
 
 class TestStartingValuesPade:
@@ -84,8 +112,7 @@ class TestStartingValuesPade:
         samples = bk.AlphaSamples(t, alpha)
         initial = objective_residuals(_pack(start), samples)
         initial_rms = np.sqrt(np.sum(initial**2) / t.size)
-        result = bk.fit_exponentials(samples, start,
-                                     bk.FitConfig(K=6))
+        result = bk.fit_exponentials(samples, start, bk.FitConfig())
         # rms_residual is on the scaled problem; compare in scaled units
         scale = np.max(np.abs(alpha))
         assert result.rms_residual <= initial_rms / scale + 1e-12
@@ -145,7 +172,7 @@ class TestFitExponentials:
     def test_single_term_round_trip(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         start = bk.ExponentialSeries([0.9], [-1.2])
-        result = bk.fit_exponentials(samples, start, bk.FitConfig(K=1))
+        result = bk.fit_exponentials(samples, start, bk.FitConfig())
         assert result.rms_residual <= 1e-8
         assert result.series.p[0] == pytest.approx(1.0, abs=1e-6)
         assert result.series.omega[0] == pytest.approx(-1.0, abs=1e-6)
@@ -155,37 +182,46 @@ class TestFitExponentials:
         samples = make_samples(truth)
         start = bk.ExponentialSeries([0.6 + 0.1j, 0.4],
                                      [-0.4 + 2.8j, -1.5 - 0.8j])
-        result = bk.fit_exponentials(samples, start, bk.FitConfig(K=2))
+        result = bk.fit_exponentials(samples, start, bk.FitConfig())
         assert result.rms_residual <= 1e-6
 
     def test_infeasible_start_projected(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         start = bk.ExponentialSeries([0.9], [0.5])  # growing: infeasible
-        result = bk.fit_exponentials(samples, start, bk.FitConfig(K=1))
+        result = bk.fit_exponentials(samples, start, bk.FitConfig())
         assert result.rms_residual <= 1e-8
         assert result.series.omega[0].real < 0
 
     def test_constraint_respected(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
-        config = bk.FitConfig(K=1)
+        config = bk.FitConfig()
         result = bk.fit_exponentials(samples,
                                      bk.ExponentialSeries([0.9], [-1.2]),
                                      config)
         eps_unscaled = config.epsilon / samples.t[-1]
         assert result.series.omega[0].real <= -eps_unscaled * (1 - 1e-12)
 
-    def test_k_mismatch(self):
-        samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
-        with pytest.raises(bk.InvalidInputError):
-            bk.fit_exponentials(samples, bk.ExponentialSeries([1.0], [-1.0]),
-                                bk.FitConfig(K=2))
+    def test_one_term_weight_kept_non_negative(self):
+        # with one term a negative weight only flips the model's sign, so
+        # the fit is bounded to Re p_1 >= 0; with more terms it is not
+        samples = make_samples(bk.ExponentialSeries([-1.0], [-1.0]))
+        one = bk.fit_exponentials(
+            samples, bk.ExponentialSeries([-0.9], [-1.2]), bk.FitConfig())
+        assert one.series.p[0].real >= 0.0
+
+        truth = bk.ExponentialSeries([-0.5, 1.0], [-0.5, -2.0])
+        two = bk.fit_exponentials(
+            make_samples(truth),
+            bk.ExponentialSeries([-0.4, 0.9], [-0.6, -1.8]), bk.FitConfig())
+        assert two.series.p[0].real == pytest.approx(-0.5, abs=1e-6)
+        assert two.rms_residual <= 1e-6
 
     def test_iteration_cap_gives_nonconverged(self):
         truth = bk.ExponentialSeries([0.7, 0.3], [-0.5 + 3j, -2.0 - 1j])
         samples = make_samples(truth)
         start = bk.ExponentialSeries([0.1, 0.1], [-3.0, -0.1 + 1j])
         result = bk.fit_exponentials(samples, start,
-                                     bk.FitConfig(K=2, max_iterations=2))
+                                     bk.FitConfig(max_iterations=2))
         assert not result.converged
 
 
@@ -225,13 +261,6 @@ class TestIncrementalFit:
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         with pytest.raises(bk.InvalidInputError):
             bk.incremental_fit(samples, 0, bk.FitConfig())
-
-
-class TestFitConfig:
-    def test_lm_solver_rejected(self):
-        # SciPy's 'lm' takes no bounds, and the decay bound is hard
-        with pytest.raises(bk.InvalidInputError, match="no bounds"):
-            bk.FitConfig(solver="lm")
 
 
 class TestSymmetrizeConjugates:

@@ -238,9 +238,9 @@ class TestBoseEinstein:
 
     def test_small_argument_against_extended_precision(self):
         mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
         for x in (1e-8, -1e-8, 5e-5, -3e-6):
-            exact = float(1.0 / (1.0 - mpmath.e ** (-mpmath.mpf(x))))
+            with mpmath.workdps(40):
+                exact = float(1.0 / (1.0 - mpmath.e ** (-mpmath.mpf(x))))
             assert bk.bose_einstein(x) == pytest.approx(exact, rel=1e-10)
 
 
