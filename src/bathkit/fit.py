@@ -63,8 +63,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one fit: the series in caller units, the root-mean-square
-    residual of the scaled problem, and solver diagnostics."""
+    """Outcome of one fit: the series in caller units, the scaled RMS residual
+    and diagnostics, where ``iterations`` holds ``least_squares``' nfev."""
 
     series: ExponentialSeries
     rms_residual: float

@@ -2,11 +2,23 @@
 Fermi-Dirac functions.
 
 The poles and weights come from eigenvalues of two symmetric tridiagonal
-matrices.  For order ``N`` the main matrix has size 2N x 2N and the auxiliary
-one (2N-1) x (2N-1); eigenvalues pair up as +/- lambda, and the unpaired
-eigenvalue of an odd-sized matrix is always 0 and is discarded.  Rates are
-``xi = 2 / (beta*hbar*lambda)`` for the N positive eigenvalues, weights come
-from the product formula evaluated below.
+matrices with zero diagonal.  For order ``N`` the main matrix has size
+2N x 2N and the auxiliary one (2N-1) x (2N-1); eigenvalues pair up as
++/- lambda (an odd-sized matrix adds an unpaired 0).  Rates are
+``xi = 2 / (beta*hbar*lambda)`` for the N positive eigenvalues and
+``zeta`` likewise for the N-1 of the auxiliary matrix.
+
+Ordering the rows and columns odd then even turns such a matrix into
+[[0, C], [C^T, 0]], whose positive eigenvalues are the singular values of
+the bidiagonal C.  They are computed by numpy's dense SVD, to high relative
+accuracy (Demmel & Kahan, SIAM J. Sci. Stat. Comput. 11, 873 (1990)), with
+no SciPy and no zero eigenvalue to filter out.  The rate bytes for sizes
+64-512 were checked identical with OpenBLAS on one thread, two, or its
+default.
+
+The rates interlace, xi_1 < zeta_1 < xi_2 < ... < zeta_{N-1} < xi_N, so each
+factor of the weight product below lies in (0, 1): the product neither
+overflows nor changes sign, and is one array expression.
 """
 
 from __future__ import annotations
@@ -68,23 +80,26 @@ def _couplings(size, offset):
 
 
 def _positive_rates(size, offset):
-    """Dimensionless rates 2/lambda for the positive eigenvalues of the
-    size x size (size >= 2) tridiagonal matrix with zero diagonal and the
-    given coupling offset.  The bisection LAPACK driver is used for
-    cross-platform determinism."""
-    from scipy.linalg import eigh_tridiagonal
-    eig = np.sort(eigh_tridiagonal(np.zeros(size), _couplings(size, offset),
-                                   eigvals_only=True, lapack_driver="stebz"))
-    scale = max(abs(eig[0]), abs(eig[-1]))
-    positive = eig[eig > 1e-12 * scale]
-    return np.sort(2.0 / positive)
+    """Dimensionless rates 2/lambda, ascending, for the positive eigenvalues
+    of the size x size (size >= 2) tridiagonal matrix with zero diagonal and
+    the given coupling offset: size // 2 of them.
+
+    Odd-then-even ordering makes the matrix [[0, C], [C^T, 0]]; C^T is the
+    upper bidiagonal matrix with diagonal ``b[0::2]`` and superdiagonal
+    ``b[1::2]``, and its singular values are the positive eigenvalues."""
+    b = _couplings(size, offset)
+    bidiagonal = np.zeros((size // 2, (size + 1) // 2))
+    np.fill_diagonal(bidiagonal, b[0::2])
+    np.fill_diagonal(bidiagonal[:, 1:], b[1::2])
+    return np.sort(2.0 / np.linalg.svd(bidiagonal, compute_uv=False))
 
 
 def pade_parameters(N: int, statistics, ctx: ThermalContext) -> PadeParams:
     """Compute the order-N approximant parameters for the given statistics.
 
-    The weight products are evaluated in log space with sign tracking so that
-    large orders (N > 20) do not overflow.
+    The weights are Xi_j = prefactor * prod_k (zeta_k^2 - xi_j^2) /
+    (xi_k'^2 - xi_j^2) with k' = k below j and k + 1 from j on; by
+    interlacing every factor lies in (0, 1).
     """
     if N < 1:
         raise InvalidInputError(f"order must be >= 1, got {N}")
@@ -102,15 +117,11 @@ def pade_parameters(N: int, statistics, ctx: ThermalContext) -> PadeParams:
     else:
         zeta_hat = np.empty(0)
 
-    xi2 = xi_hat**2
-    zeta2 = zeta_hat**2
-    Xi = np.empty(N)
-    for j in range(N):
-        num = zeta2 - xi2[j]
-        den = np.delete(xi2, j) - xi2[j]
-        sign = np.prod(np.sign(num)) * np.prod(np.sign(den))
-        log_ratio = np.sum(np.log(np.abs(num))) - np.sum(np.log(np.abs(den)))
-        Xi[j] = prefactor * sign * np.exp(log_ratio)
+    xi2, zeta2 = xi_hat**2, zeta_hat**2
+    k = np.arange(N - 1)
+    k_prime = k + (k >= np.arange(N)[:, None])
+    Xi = prefactor * np.prod((zeta2 - xi2[:, None])
+                             / (xi2[k_prime] - xi2[:, None]), axis=1)
 
     bh = ctx.beta_hbar
     return PadeParams(statistics=statistics, order=N, xi=xi_hat / bh, Xi=Xi,

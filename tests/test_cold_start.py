@@ -1,8 +1,9 @@
 """Which SciPy submodules a fresh process loads.
 
 ``import bathkit`` loads no SciPy; each subcommand loads only the submodules
-its numerics call.  Every case runs in a new interpreter, since a module
-once imported stays in ``sys.modules``.
+its numerics call, and those that neither integrate nor fit load none.
+Every case runs in a new interpreter, since a module once imported stays in
+``sys.modules``.
 """
 
 import json
@@ -17,10 +18,11 @@ import bathkit
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(bathkit.__file__)))
 
 PROBE = """\
-import contextlib, io, json, sys
-import bathkit, bathkit.cli
+import contextlib, importlib, io, json, sys
+importlib.import_module(sys.argv[2])
 argv = json.loads(sys.argv[1])
 if argv:
+    import bathkit.cli
     with contextlib.redirect_stdout(io.StringIO()):
         code = bathkit.cli.main(argv)
     if code != 0:
@@ -39,13 +41,15 @@ SPECS = {
 }
 
 
-def scipy_modules(argv, cwd):
-    """The sorted ``scipy`` modules loaded after ``main(argv)`` in a fresh
-    interpreter (after the imports alone for an empty ``argv``)."""
+def scipy_modules(argv, cwd, module="bathkit.cli"):
+    """The sorted ``scipy`` modules loaded after ``import module`` and
+    ``main(argv)`` in a fresh interpreter (after the import alone for an
+    empty ``argv``)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv)],
+    proc = subprocess.run([sys.executable, "-c", PROBE, json.dumps(argv),
+                           module],
                           cwd=cwd, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -66,6 +70,10 @@ def test_import_loads_no_scipy(tmp_path):
     assert scipy_modules([], tmp_path) == []
 
 
+def test_pade_import_loads_no_scipy(tmp_path):
+    assert scipy_modules([], tmp_path, module="bathkit.pade") == []
+
+
 @pytest.mark.parametrize("argv", [
     ["eta", "--series", "series.csv", "--dt", "0.5", "--steps", "4",
      "--splitting", "trotter", "--quapi", "--lambda-value", "1.0"],
@@ -79,13 +87,8 @@ def test_import_loads_no_scipy(tmp_path):
     ["lambda", "--spec", "tabulated.ini"],
     ["alpha", "--spec", "powerlaw.ini", "--method", "closed", "--tmax", "2",
      "--points", "5"],
+    ["pade", "--stat", "be", "--order", "4"],
 ], ids=["eta_trotter", "eta_strang", "jw", "lambda_gldd", "lambda_mt",
-        "lambda_powerlaw", "lambda_tabulated", "alpha_closed"])
+        "lambda_powerlaw", "lambda_tabulated", "alpha_closed", "pade"])
 def test_command_loads_no_scipy(argv, inputs):
     assert scipy_modules(argv, inputs) == []
-
-
-def test_pade_loads_linalg_only(tmp_path):
-    loaded = scipy_modules(["pade", "--stat", "be", "--order", "4"], tmp_path)
-    assert "scipy.linalg" in loaded
-    assert not {"scipy.integrate", "scipy.optimize"} & set(loaded)
