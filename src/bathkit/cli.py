@@ -26,6 +26,7 @@ import configparser
 import csv
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -362,7 +363,7 @@ def _cmd_fit(args):
         # the exact transform has no sine term at t = 0; a residual
         # imaginary part (a series gives the t -> 0+ limit) is
         # representation error and is projected away
-        print("note: dropped spurious Im(alpha(0)) = "
+        print("bathkit: note: dropped spurious Im(alpha(0)) = "
               f"{alpha[0].imag:.3e} from the sampled objectives",
               file=sys.stderr)
         alpha[0] = alpha[0].real
@@ -373,10 +374,11 @@ def _cmd_fit(args):
         weights = wdata[:, -1]
     samples = bcf.AlphaSamples(t, alpha, weights)
 
-    if k < 1:
-        raise InvalidInputError(f"K must be >= 1, got {k}")
+    terms = kmax if kmax else k  # --k is unused when the ladder has a kmax
+    if terms < 1:
+        raise InvalidInputError(f"K must be >= 1, got {terms}")
     config = fitmod.FitConfig(rng_seed=0 if seed is None else int(seed))
-    ladder = fitmod.incremental_fit(samples, kmax if kmax else k, config)
+    ladder = fitmod.incremental_fit(samples, terms, config)
     best = min(ladder, key=lambda r: r.rms_residual)
 
     for result in ladder:
@@ -514,14 +516,18 @@ def _build_parser():
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except InvalidInputError as exc:
-        print(f"bathkit: invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BathkitError as exc:
-        print(f"bathkit: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    with warnings.catch_warnings():
+        # each warning is one line, without the source location
+        warnings.showwarning = lambda message, *_: print(
+            f"bathkit: note: {message}", file=sys.stderr)
+        try:
+            return args.handler(args)
+        except InvalidInputError as exc:
+            print(f"bathkit: invalid input: {exc}", file=sys.stderr)
+            return EXIT_INVALID
+        except BathkitError as exc:
+            print(f"bathkit: numerical failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

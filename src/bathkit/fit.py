@@ -4,12 +4,13 @@ functions by sums of complex exponentials.
 The model is alpha(t) ~ sum_k p_k exp(omega_k t) with complex p_k, omega_k
 and the hard constraint Re(omega_k) <= -eps (decaying terms only).  Fitting
 happens on a scaled problem (times mapped to [0, 1], amplitudes to order 1)
-with an analytic Jacobian; SciPy's bounded trust-region solver ("trf", the
-only one of its methods that takes bounds) enforces the constraint by
-projection.  The term count K is the start series' own; a one-term fit also
-keeps Re p_1 >= 0, since a negative weight there only flips the sign of the
-whole model.  An incremental driver grows the term count one at a time,
-seeding each new term from a perturbed copy of the last fitted one.
+by variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+(1973)): for given rates the weights are the linear least-squares optimum,
+so SciPy's bounded trust-region solver ("trf", the only one of its methods
+that takes bounds) fits only the 2K real rate parameters, with Kaufman's
+Jacobian (BIT 15, 49 (1975)).  K is the start series' own, and the start
+gives only its rates.  :func:`incremental_fit` grows the term count one at a
+time, seeding each new term from a perturbed copy of the last fitted one.
 """
 
 from __future__ import annotations
@@ -38,13 +39,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Solver settings for :func:`fit_exponentials`.
+    """Solver and ladder settings.
 
     ``epsilon`` is the decay-constraint margin on the scaled problem, i.e.
     Re(omega * t_end) <= -epsilon.  The bound is hard, so every fit runs
-    SciPy's bounded trust-region method ``"trf"``.  The term count is not a
-    setting: it is the start series' own, and a one-term fit (only) keeps
-    Re p_1 >= 0.
+    SciPy's bounded trust-region method ``"trf"`` over the rates.
+    ``parameter_tolerance`` is its ``xtol``; its ``ftol`` (1e-12) and
+    ``gtol`` (1e-14) are fixed.  ``residual_tolerance`` is the absolute
+    scaled RMS at which :func:`incremental_fit` stops adding terms.  The
+    term count is not a setting: it is the start series' own.
     """
 
     max_iterations: int = 2000
@@ -63,8 +66,9 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one fit: the series in caller units, the scaled RMS residual
-    and diagnostics, where ``iterations`` holds ``least_squares``' nfev."""
+    """Outcome of one fit: the series in caller units, its scaled RMS
+    residual (by :func:`objective_residuals`) and diagnostics, where
+    ``iterations`` holds ``least_squares``' nfev."""
 
     series: ExponentialSeries
     rms_residual: float
@@ -253,17 +257,38 @@ def starting_values_heuristic(samples: AlphaSamples) -> ExponentialSeries:
 # solver
 # ---------------------------------------------------------------------------
 
-def _bounds(K, epsilon):
-    lb = np.full(4 * K, -np.inf)
-    ub = np.full(4 * K, np.inf)
-    ub[2::4] = -epsilon  # Re(omega') <= -eps: decaying terms only
-    if K == 1:
-        lb[0] = 0.0  # Re p' >= 0: a negative weight only flips the model
-    return lb, ub
+class _Projection:
+    """Variable projection on scaled samples.  At rates theta = (Re omega_1,
+    Im omega_1, ...) the weights p minimise ||W (alpha - E p)||, E = exp(omega
+    t), by an SVD of W E that drops null directions, so equal rates stay well
+    defined; the Jacobian is Kaufman's -P_perp (dE/dtheta) p.  The solver asks
+    for it where it last asked for residuals, so one factorization is kept."""
 
+    def __init__(self, samples: AlphaSamples):
+        self.t, self.w = samples.t, samples.effective_weights
+        self.b, self.key = self.w * samples.alpha, None
 
-def _project(x, lb, ub):
-    return np.minimum(np.maximum(x, lb), ub)
+    def at(self, theta):
+        if theta.tobytes() != self.key:
+            self.key, self.omega = theta.tobytes(), theta.view(complex).copy()
+            self.e = np.exp(np.multiply.outer(self.t, self.omega))
+            u, s, vh = np.linalg.svd(self.w[:, None] * self.e,
+                                     full_matrices=False)
+            cut = s[0] * max(self.e.shape) * np.finfo(float).eps
+            rank = np.count_nonzero(s > cut)
+            self.u, c = u[:, :rank], u[:, :rank].conj().T @ self.b
+            self.p = vh[:rank].conj().T @ (c / s[:rank])
+            self.r = self.b - self.u @ c
+        return self
+
+    def residuals(self, theta):  # interleaved as in objective_residuals
+        return self.at(theta).r.view(float)
+
+    def jacobian(self, theta):  # d/d(Re omega_k) is t e_k p_k, d/d(Im) i that
+        d = (self.w * self.t)[:, None] * self.at(theta).e * self.p
+        m = self.u @ (self.u.conj().T @ d) - d
+        m = np.stack([m, 1j * m], axis=2).reshape(d.shape[0], -1)
+        return np.stack([m.real, m.imag], axis=1).reshape(-1, m.shape[1])
 
 
 def _symmetrize_conjugates(series, tol=1e-6):
@@ -291,31 +316,38 @@ def _symmetrize_conjugates(series, tol=1e-6):
 
 def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
                      config: FitConfig) -> FitResult:
-    """Bounded trust-region least squares from ``start``, with as many terms
-    as ``start`` has.
+    """Bounded trust-region least squares over the rates of ``start``, with
+    as many terms as ``start`` has; its weights are not used.
 
     The problem is rescaled (t to [0, 1], amplitudes to order 1), infeasible
-    starts are projected onto Re(omega') <= -epsilon (and, for one term,
-    Re p' >= 0) before the first iteration, and hitting the iteration cap
-    yields converged=False rather than an exception.
+    start rates are projected onto Re(omega') <= -epsilon before the first
+    iteration, the weights are the linear least-squares optimum for the
+    final rates, and hitting the iteration cap yields converged=False rather
+    than an exception.
     """
     from scipy.optimize import least_squares
     transform = ScalingTransform.for_samples(samples)
     scaled = transform.scale_samples(samples)
-    lb, ub = _bounds(start.count, config.epsilon)
-    x0 = _project(_pack(transform.scale_series(start)), lb, ub)
+    omega = transform.scale_series(start).omega
+    ub = np.tile([-config.epsilon, np.inf], start.count)  # decaying only
+    theta0 = np.minimum(omega.view(float), ub)
+    problem = _Projection(scaled)
 
     result = least_squares(
-        objective_residuals, x0, jac=objective_jacobian, args=(scaled,),
-        bounds=(lb, ub), method="trf",
-        ftol=config.residual_tolerance, xtol=config.parameter_tolerance,
-        gtol=1e-14, max_nfev=config.max_iterations)
+        problem.residuals, theta0, jac=problem.jacobian,
+        bounds=(-np.inf, ub), method="trf", ftol=1e-12,
+        xtol=config.parameter_tolerance, gtol=1e-14,
+        max_nfev=config.max_iterations)
 
-    p, omega = _unpack(result.x)
-    series = ExponentialSeries(p, omega)
+    # one step of iterative refinement on the weights, so that an exact fit
+    # reaches the rounding floor of the residual, not of the SVD solve
+    a = problem.at(result.x).w[:, None] * problem.e
+    p = problem.p + np.linalg.lstsq(a, problem.b - a @ problem.p)[0]
+    series = ExponentialSeries(p, problem.omega)
     if config.symmetrize_conjugates:
         series = _symmetrize_conjugates(series)
-    rms = float(np.sqrt(np.sum(result.fun**2) / samples.t.size))
+    res = objective_residuals(_pack(series), scaled)
+    rms = float(np.sqrt(np.sum(res**2) / samples.t.size))
     return FitResult(series=transform.unscale_series(series),
                      rms_residual=rms,
                      iterations=int(result.nfev),
@@ -329,8 +361,8 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     The K = 1 start comes from :func:`starting_values_heuristic`; each later
     start is the previous fitted series plus one new term obtained by
     perturbing the last term with (1 + n) standard-normal factors from the
-    seeded generator.  Stops early once the scaled RMS drops below the
-    residual tolerance.  Results for all attempted K are returned.
+    seeded generator.  Stops early once the scaled RMS drops below
+    ``config.residual_tolerance``.  Results for all attempted K are returned.
     """
     if K_max < 1:
         raise InvalidInputError(f"K_max must be >= 1, got {K_max}")
