@@ -31,7 +31,8 @@ from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
                      RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
-                    ExponentialSeries, ThermalContext, series_eval)
+                    ExponentialSeries, ThermalContext, _fill_blocks,
+                    series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -441,20 +442,23 @@ def spectral_density_from_series(series: ExponentialSeries,
 
     the half-line Fourier inversion of the response transform under the
     Hermitian extension alpha(-t) = conj(alpha(t)) and an antisymmetric J.
+    The (terms, frequencies) resolvent is formed one block of frequencies at
+    a time.
     """
     if series.count and np.any(series.omega.real >= 0):
         raise InvalidInputError(
             "inverse map requires a decaying series (all Re(omega) < 0)")
     w = np.asarray(omega, dtype=float)
     flat = np.atleast_1d(w).ravel()
-    if series.count == 0:
-        resolvent = np.zeros(flat.shape, dtype=complex)
-    else:
+
+    def block(s):
+        x = flat[s]
         resolvent = np.sum(
-            series.p[:, None] / (series.omega[:, None] + 1j * flat[None, :]),
+            series.p[:, None] / (series.omega[:, None] + 1j * x[None, :]),
             axis=0)
-    out = (-(1.0 - np.exp(-ctx.beta_hbar * flat)) * resolvent.real).reshape(
-        np.atleast_1d(w).shape)
+        return -(1.0 - np.exp(-ctx.beta_hbar * x)) * resolvent.real
+
+    out = _fill_blocks(np.empty(flat.shape), block)
     return out.reshape(w.shape) if w.ndim else float(out[0])
 
 

@@ -15,8 +15,12 @@ digit floats, so every emitted table round-trips through the input parsers.
 ``eta`` writes its rows in this order: ``diag`` k = 0..N, ``lag`` m = 1..N,
 then (Strang only) ``k0`` and ``Nk`` interleaved for each k = 1..N-1 and a
 last ``N0`` row.  ``pade``'s ``zeta_per_time`` cell is empty on its last row.
-Exit codes: 0 success, 2 usage, 3 invalid input (message names the field),
-4 numerical failure.
+Tables stream in blocks of rows, so memory is bounded by the computed
+result arrays, not by the table's text.
+Exit codes: 0 success, 2 usage, 3 invalid input (message names the field;
+an ``--out`` path that cannot be opened for writing is invalid input),
+4 numerical failure.  A reader that closes standard output early (``| head``)
+ends the command quietly with exit 0.
 """
 
 from __future__ import annotations
@@ -46,7 +50,11 @@ def _fmt(x) -> str:
 def _open_out(path):
     if path is None or path == "-":
         return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+    try:
+        return open(path, "w", encoding="utf-8", newline=""), True
+    except OSError as exc:
+        raise InvalidInputError(
+            f"--out: cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_table(path, header, blocks):
@@ -54,20 +62,25 @@ def _write_table(path, header, blocks):
 
     ``blocks`` is a sequence of ``(fmt, columns)``.  ``fmt`` formats one
     record; it may span several lines and carry constant cells.  ``columns``
-    fill its ``%`` fields in order, one entry per record, and each block is
-    formatted by a single ``%`` operation.  No cell needs CSV quoting (labels,
-    integers and ``%.17g`` floats, ``nan`` and ``inf`` included, hold no
-    comma, quote or newline), so the bytes are those ``csv.writer`` writes.
+    fill its ``%`` fields in order, one entry per record.  Each block is
+    streamed in slices of ``model._BLOCK`` records, one ``%`` operation per
+    slice, so the text and Python floats in memory at any time are those of
+    one slice.  No cell needs CSV quoting (labels, integers and ``%.17g``
+    floats, ``nan`` and ``inf`` included, hold no comma, quote or newline),
+    so the bytes are those ``csv.writer`` writes.
     """
     out, close = _open_out(path)
     try:
         out.write(",".join(header) + "\n")
         for fmt, columns in blocks:
-            ncols, nrows = len(columns), len(columns[0])
-            flat = [None] * (ncols * nrows)
-            for i, col in enumerate(columns):
-                flat[i::ncols] = np.asarray(col).tolist()
-            out.write((fmt * nrows) % tuple(flat))
+            ncols, full = len(columns), fmt * model._BLOCK
+            for s in model._slices(len(columns[0])):
+                nrows = s.stop - s.start
+                flat = [None] * (ncols * nrows)
+                for i, col in enumerate(columns):
+                    flat[i::ncols] = np.asarray(col[s]).tolist()
+                out.write((full if nrows == model._BLOCK else fmt * nrows)
+                          % tuple(flat))
     finally:
         if close:
             out.close()
@@ -521,7 +534,17 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(
             f"bathkit: note: {message}", file=sys.stderr)
         try:
-            return args.handler(args)
+            code = args.handler(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader closed standard output (``| head``): end quietly,
+            # and point the descriptor at devnull so the flush at exit
+            # cannot fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return EXIT_OK
         except InvalidInputError as exc:
             print(f"bathkit: invalid input: {exc}", file=sys.stderr)
             return EXIT_INVALID

@@ -20,7 +20,7 @@ from .bcf import _quad
 from .errors import (AccuracyError, DivergenceError, InvalidInputError,
                      RangeError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    ExponentialSeries, ThermalContext)
+                    ExponentialSeries, ThermalContext, _fill_blocks)
 
 __all__ = [
     "EtaGrid",
@@ -106,13 +106,22 @@ def _full_diag(series, dt):
     return complex(np.sum(series.p * dt**2 * _phi2(series.omega * dt)))
 
 
+def _term_sum(amp, w, n, time):
+    """sum_k amp_k exp(w_k time(m)) for the steps m = 1..n, where ``time``
+    maps a row of step numbers to times; the (terms, steps) array is formed
+    one block of steps at a time."""
+    def block(s):
+        m = np.arange(s.start + 1, s.stop + 1)
+        return (amp[:, None] * np.exp(w[:, None] * time(m[None, :]))).sum(
+            axis=0)
+    return _fill_blocks(np.empty(n, dtype=complex), block)
+
+
 def _lag_kernel(series, dt, N):
     # full rectangle windows: 4 sum p/w^2 sinh^2(w dt/2) e^{w m dt}
-    m = np.arange(1, N + 1)
     s = _sinhc(series.omega * dt / 2.0)
     amp = 4.0 * series.p * (dt / 2.0) ** 2 * s**2
-    grow = np.exp(series.omega[:, None] * (m[None, :] * dt))
-    return (amp[:, None] * grow).sum(axis=0)
+    return _term_sum(amp, series.omega, N, lambda m: m * dt)
 
 
 def eta_trotter(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
@@ -155,14 +164,11 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     # triangle windows of width dt/2 at the grid ends
     diag[0] = diag[N] = _full_diag(series, dt / 2.0)
 
-    k = np.arange(1, N)
     # one full-width and one half-width window: the column k x [0, dt/2],
     # and the end [N dt - dt/2, N dt] x the source window around k' dt
     amp = p * (dt**2 / 2.0) * s2 * s4
-    eta_k0 = (amp[:, None]
-              * np.exp(w[:, None] * (k[None, :] * dt - dt / 4.0))).sum(axis=0)
-    eta_Nk = (amp[:, None]
-              * np.exp(w[:, None] * (t_end - k[None, :] * dt - dt / 4.0))).sum(axis=0)
+    eta_k0 = _term_sum(amp, w, N - 1, lambda k: k * dt - dt / 4.0)
+    eta_Nk = _term_sum(amp, w, N - 1, lambda k: t_end - k * dt - dt / 4.0)
     # half end window x half source window
     eta_N0 = complex(np.sum(
         p * (dt**2 / 4.0) * s4**2 * np.exp(w * (t_end - dt / 2.0))))

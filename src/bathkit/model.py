@@ -618,20 +618,54 @@ class ExponentialSeries:
 # exp() overflows above ~709; clamp keeps growing intermediates finite
 _EXP_CLAMP = 700.0
 
+# points per block of a rows x terms expression and records per `%` of a
+# CLI table
+_BLOCK = 4096
+
+
+def _slices(n):
+    """Consecutive slices of range(n), ``_BLOCK`` long except the last.
+
+    A lone last index joins the block before it: numpy sums axis 0 of a
+    one-column (terms, 1) array pairwise, but of a wider one term after
+    term, so a one-column block would change the bits of an axis-0 sum.
+    """
+    start = 0
+    while start < n:
+        stop = n if n - start <= _BLOCK + 1 else start + _BLOCK
+        yield slice(start, stop)
+        start = stop
+
+
+def _fill_blocks(out, block):
+    """Set ``out[s] = block(s)`` for each slice s of ``_slices(len(out))``
+    and return ``out``, so a rows x terms expression holds O(_BLOCK x terms)
+    temporaries whatever the number of rows."""
+    for s in _slices(len(out)):
+        out[s] = block(s)
+    return out
+
 
 def series_eval(series: ExponentialSeries, t):
-    """Evaluate sum_k p_k exp(w_k t) at scalar or array t.
+    """Evaluate sum_k p_k exp(w_k t) at scalar or array t (any shape).
 
     Stable down to Re(w)*t = -700 and beyond (terms underflow to 0, never
     NaN).  Compensated summation is used for more than 16 terms, since fitted
     series can carry large cancelling weights.  Each time point's terms are
     summed as one contiguous row, so a grid gives the same bits as evaluating
-    its points one at a time.
+    its points one at a time; the (points, terms) array of terms is formed
+    one block of ``_BLOCK`` points at a time, so memory beyond the result is
+    O(_BLOCK x terms).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if series.count == 0:
-        out = np.zeros(t_arr.shape, dtype=complex)
-        return out if np.ndim(t) else complex(out[0])
+    t_arr = np.asarray(t, dtype=float)
+    flat = t_arr.ravel()
+    out = _fill_blocks(np.empty(flat.shape, dtype=complex),
+                       lambda s: _series_rows(series, flat[s]))
+    return out.reshape(t_arr.shape) if t_arr.ndim else complex(out[0])
+
+
+def _series_rows(series, t_arr):
+    """sum_k p_k exp(w_k t) for each t of a 1-D ``t_arr``, row by row."""
     w = t_arr[:, None] * series.omega[None, :]
     np.clip(w.real, None, _EXP_CLAMP, out=w.real)
     terms = series.p[None, :] * np.exp(w)
@@ -645,4 +679,4 @@ def series_eval(series: ExponentialSeries, t):
             total = s
     else:
         total = terms.sum(axis=1)
-    return total if np.ndim(t) else complex(total[0])
+    return total

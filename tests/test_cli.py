@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -431,3 +435,40 @@ class TestExitCodes:
             main(["pade", "--stat", "be", "--order", "1", "--bogus"])
         assert exc.value.code == 2
 
+
+    @pytest.mark.parametrize("command", ["jw", "lambda"])
+    def test_unwritable_out_is_invalid_input(self, tmp_path, capsys,
+                                             command):
+        series = tmp_path / "series.csv"
+        series.write_text("re_p,im_p,re_omega,im_omega\n1.0,0.0,-1.0,0.0\n")
+        argv = {"jw": ["jw", "--series", str(series), "--wmax", "2",
+                       "--points", "3", "--beta", "1.0"],
+                "lambda": ["lambda", "--spec",
+                           write_spec(tmp_path, POWERLAW_SPEC)]}[command]
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(argv + ["--out", str(target)], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"bathkit: invalid input: --out: cannot write "
+                       f"{target}: No such file or directory\n")
+
+    def test_closed_pipe_ends_quietly(self, tmp_path):
+        # a table far larger than a pipe buffer, read for two lines only
+        series = tmp_path / "series.csv"
+        series.write_text("re_p,im_p,re_omega,im_omega\n1.0,0.0,-1.0,0.0\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(bk.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bathkit.cli", "eta", "--series",
+             str(series), "--dt", "0.01", "--steps", "20000",
+             "--splitting", "trotter", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert lines[0] == b"table,index,re_eta,im_eta\n"
+        assert lines[1].startswith(b"diag,0,")
+        assert err == b""

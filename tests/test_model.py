@@ -286,6 +286,16 @@ class TestSeriesEval:
         for i, ti in enumerate(t):
             assert vals[i] == s(float(ti))
 
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_two_dimensional_grid_is_pointwise(self, count):
+        s = bk.ExponentialSeries([1.0, 2.0, 0.5][:count],
+                                 [-1.0, -2.0, -0.3][:count])
+        t = np.array([[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]])
+        vals = s(t)
+        assert vals.shape == t.shape
+        for idx in np.ndindex(t.shape):
+            assert vals[idx] == s(float(t[idx]))
+
     def test_is_decaying(self):
         assert bk.ExponentialSeries([1.0], [-1.0]).is_decaying()
         assert not bk.ExponentialSeries([1.0], [0.5]).is_decaying()
