@@ -335,9 +335,10 @@ _BERNOULLI_2K = (
 _ASYMPTOTIC_RADIUS = 20.0
 
 
-def polygamma(s, z) -> complex:
+def polygamma(s, z):
     """The polygamma function psi^(s)(z) = d^(s+1)/dz^(s+1) ln Gamma(z) for
-    integer order s >= 0 and complex z.
+    integer order s >= 0 and complex z (a scalar, giving a ``complex``, or
+    an array, giving an array of its shape).
 
     Uses the recurrence psi^(s)(z+1) = psi^(s)(z) + (-1)^s s!/z^(s+1) to shift
     z into the region where the Bernoulli asymptotic expansion converges.
@@ -353,14 +354,21 @@ def polygamma(s, z) -> complex:
         raise UnsupportedOrderError(
             f"polygamma order must be a non-negative integer, got {s}")
     n = int(s)
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == int(z.real):
-        raise PoleError(f"polygamma pole at z = {z.real:g}")
+    z_in = np.asarray(z, dtype=complex)
+    z = z_in.ravel().copy()
+    pole = (z.imag == 0.0) & (z.real <= 0.0) & (z.real == np.trunc(z.real))
+    if pole.any():
+        raise PoleError(f"polygamma pole at z = {z.real[pole][0]:g}")
 
-    acc = 0.0 + 0.0j
-    while z.real < _ASYMPTOTIC_RADIUS and abs(z) < 2 * _ASYMPTOTIC_RADIUS:
-        acc -= (-1.0) ** n * math.factorial(n) / z ** (n + 1)
-        z = z + 1.0
+    acc = np.zeros_like(z)
+    step = (-1.0) ** n * math.factorial(n)
+    while True:
+        near = (z.real < _ASYMPTOTIC_RADIUS) \
+            & (np.abs(z) < 2 * _ASYMPTOTIC_RADIUS)
+        if not near.any():
+            break
+        acc[near] -= step / z[near] ** (n + 1)
+        z[near] += 1.0
 
     if n == 0:
         val = np.log(z) - 0.5 / z
@@ -373,7 +381,8 @@ def polygamma(s, z) -> complex:
             val += (-1.0) ** (n - 1) * b2k \
                 * math.factorial(2 * k + n - 1) / math.factorial(2 * k) \
                 / z ** (2 * k + n)
-    return val + acc
+    out = val + acc
+    return out.reshape(z_in.shape) if z_in.ndim else complex(out[0])
 
 
 def _check_closed_form(J):
@@ -396,8 +405,7 @@ def _check_closed_form(J):
             "alpha diverges for a flat density (s = 0): J/w is not integrable")
 
 
-def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
-                               t: float) -> complex:
+def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext, t):
     """Closed-form alpha(t) for J(w) = A w^s exp(-w/w_c), integer s >= 1.
 
     With z(t) = (1/w_c + i t) / (beta*hbar),
@@ -409,25 +417,32 @@ def alpha_powerlaw_closed_form(J: PowerLaw, ctx: ThermalContext,
     The (-1)^(s+1)/pi normalisation follows from expanding coth into a
     geometric series and resumming with the Hurwitz zeta representation of
     psi^(s); it is pinned by the quadrature cross-check in the test-suite.
-    Raises :class:`RangeError` when a term overflows the float range.
+    ``t`` is a scalar, giving a ``complex``, or an array, giving an array of
+    its shape.  Raises :class:`RangeError` when a term overflows the float
+    range.
     """
     _check_closed_form(J)
-    if t < 0:
-        raise InvalidInputError(f"t must be >= 0, got {t}")
+    t_in = np.asarray(t, dtype=float)
+    if np.any(t_in < 0):
+        raise InvalidInputError(f"t must be >= 0, got {t_in.min()}")
 
     params = J.params
     s = int(params.exponent)
     bh = ctx.beta_hbar
     A = params.amplitude
-    z = (1.0 / params.cutoff + 1j * t) / bh
+    z = (1.0 / params.cutoff + 1j * t_in.ravel()) / bh
+    out = np.empty(z.shape, dtype=complex)
     try:
-        psi_sum = polygamma(s, z) + polygamma(s, z + 1.0)
-        re = A * (-1.0) ** (s + 1) / np.pi * bh ** (-(s + 1)) * psi_sum.real
-        gamma_term = math.gamma(s + 1) / (bh * z) ** (s + 1)
-    except OverflowError as exc:
+        with np.errstate(over="raise"):
+            psi_sum = polygamma(s, z) + polygamma(s, z + 1.0)
+            out.real = A * (-1.0) ** (s + 1) / np.pi * bh ** (-(s + 1)) \
+                * psi_sum.real
+            gamma_term = math.gamma(s + 1) / (bh * z) ** (s + 1)
+            out.imag = A / np.pi * gamma_term.imag
+    except (OverflowError, FloatingPointError) as exc:
         raise RangeError(f"closed form overflows the float range at s = {s} "
                          f"({exc})") from exc
-    return complex(re, A / np.pi * gamma_term.imag)
+    return out.reshape(t_in.shape) if t_in.ndim else complex(out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ for the grammar).  All tables are CSV with a header row and 17-significant-
 digit floats, so every emitted table round-trips through the input parsers.
 ``eta`` writes its rows in this order: ``diag`` k = 0..N, ``lag`` m = 1..N,
 then (Strang only) ``k0`` and ``Nk`` interleaved for each k = 1..N-1 and a
-last ``N0`` row.  ``pade``'s ``zeta_per_time`` cell is empty on its last row.
+last ``N0`` row.  The diagonal takes one value (Trotter) or two (Strang,
+whose ends differ), and the text of each is formatted once.  ``pade``'s
+``zeta_per_time`` cell is empty on its last row.
 Tables stream in blocks of rows, so memory is bounded by the computed
 result arrays, not by the table's text.
 Exit codes: 0 success, 2 usage, 3 invalid input (message names the field;
@@ -298,8 +300,11 @@ def _alpha_function(spec, method, tol):
                                         exc.reference_tol), "quadrature"
         return series, "series"
     if method == "closed":
-        return _pointwise(
-            lambda t: bcf.alpha_powerlaw_closed_form(J, ctx, t)), "closed"
+        def closed(t_grid):
+            return model._fill_blocks(
+                np.empty(len(t_grid), dtype=complex),
+                lambda s: bcf.alpha_powerlaw_closed_form(J, ctx, t_grid[s]))
+        return closed, "closed"
     if method == "quadrature":
         return _quadrature_function(J, ctx), "quadrature"
     raise InvalidInputError(f"task.method: unknown method {method!r}")
@@ -419,6 +424,13 @@ def _cmd_jw(args):
     return EXIT_OK
 
 
+def _diag_rows(value, indices):
+    """The ``_write_table`` block of ``diag`` rows that share one value: its
+    text is formatted once and only the index is formatted per row (``%.17g``
+    text holds no ``%``)."""
+    return (f"diag,%d,{_fmt(value.real)},{_fmt(value.imag)}\n", (indices,))
+
+
 def _cmd_eta(args):
     series = _load_series(args.series)
     if args.splitting == "trotter":
@@ -432,15 +444,20 @@ def _cmd_eta(args):
         ctx = model.ThermalContext(beta=args.beta, hbar=args.hbar)
         grid = influence.quapi_correct(grid, args.lambda_value, ctx)
 
-    N, diag, lag = grid.N, grid.diag, grid.lag_kernel
-    blocks = [("diag,%d,%.17g,%.17g\n", (range(N + 1), diag.real, diag.imag)),
-              ("lag,%d,%.17g,%.17g\n", (range(1, N + 1), lag.real, lag.imag))]
-    if grid.splitting == "strang":
+    N, lag = grid.N, grid.lag_kernel
+    lag_rows = ("lag,%d,%.17g,%.17g\n", (range(1, N + 1), lag.real, lag.imag))
+    if grid.splitting == "trotter":
+        blocks = [_diag_rows(grid.eta_kk, range(N + 1)), lag_rows]
+    else:
         k0, Nk, N0 = grid.eta_k0, grid.eta_Nk, grid.eta_N0
-        blocks += [("k0,%d,%.17g,%.17g\nNk,%d,%.17g,%.17g\n",
-                    (range(1, N), k0.real, k0.imag,
-                     range(1, N), Nk.real, Nk.imag)),
-                   ("N0,0,%.17g,%.17g\n", ([N0.real], [N0.imag]))]
+        blocks = [_diag_rows(grid.eta_00, range(1)),
+                  _diag_rows(grid.eta_kk, range(1, N)),
+                  _diag_rows(grid.eta_00, range(N, N + 1)),
+                  lag_rows,
+                  ("k0,%d,%.17g,%.17g\nNk,%d,%.17g,%.17g\n",
+                   (range(1, N), k0.real, k0.imag,
+                    range(1, N), Nk.real, Nk.imag)),
+                  ("N0,0,%.17g,%.17g\n", ([N0.real], [N0.imag]))]
     _write_table(args.out, ["table", "index", "re_eta", "im_eta"], blocks)
     return EXIT_OK
 

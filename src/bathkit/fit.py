@@ -361,7 +361,10 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     The K = 1 start comes from :func:`starting_values_heuristic`; each later
     start is the previous fitted series plus one new term obtained by
     perturbing the last term with (1 + n) standard-normal factors from the
-    seeded generator.  Stops early once the scaled RMS drops below
+    seeded generator.  A rung whose fit ends above the previous RMS is
+    replaced by the previous series padded with a zero-weight copy of its
+    last term, at the previous RMS, so the RMS never rises along the ladder.
+    Stops early once the scaled RMS drops below
     ``config.residual_tolerance``.  Results for all attempted K are returned.
     """
     if K_max < 1:
@@ -375,15 +378,17 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     for K in range(1, K_max + 1):
         fit = fit_exponentials(samples, start, config)
         if results and fit.rms_residual > results[-1].rms_residual:
-            # the perturbed start lost to the previous optimum; restart from
-            # the previous fit padded with a zero-weight copy, a feasible
-            # point whose initial cost equals the previous one
-            prev = results[-1].series
-            retry = ExponentialSeries(
-                np.append(prev.p, 0.0), np.append(prev.omega, prev.omega[-1]))
-            refit = fit_exponentials(samples, retry, config)
-            if refit.rms_residual < fit.rms_residual:
-                fit = refit
+            # the perturbed start lost to the previous optimum; the rung
+            # becomes the previous fit padded with a zero-weight copy of its
+            # last term, which has the previous RMS (a refit from there
+            # moves the two equal rates together and cannot improve on it)
+            prev = results[-1]
+            fit = FitResult(
+                series=ExponentialSeries(
+                    np.append(prev.series.p, 0.0),
+                    np.append(prev.series.omega, prev.series.omega[-1])),
+                rms_residual=prev.rms_residual, iterations=fit.iterations,
+                converged=prev.converged)
         results.append(fit)
         if fit.rms_residual < config.residual_tolerance:
             break

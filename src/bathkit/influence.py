@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,20 +36,37 @@ __all__ = [
 class EtaGrid:
     """Influence coefficients on an N-step grid with step dt.
 
-    Off-diagonal interior entries depend on (k, k') only through the lag
-    m = k - k', so they are stored as a length-N lag kernel instead of an
-    N x N table.  Strang grids additionally carry the boundary columns and
-    rows with half-width windows; ``eta_00``/``eta_NN`` live in ``diag``.
+    For a stationary alpha(t - t') each table holds few distinct values, and
+    each is stored once:
+
+    * ``eta_kk``: the diagonal eta_kk, one value for every k of a Trotter
+      grid and for the interior k = 1..N-1 of a Strang grid;
+    * ``eta_00``: the Strang end windows, eta_00 = eta_NN (None for Trotter);
+    * ``lag_kernel``: interior off-diagonal entries, which depend on (k, k')
+      only through the lag m = k - k', for m = 1..N;
+    * ``eta_k0``, ``eta_Nk`` (k = 1..N-1) and ``eta_N0``: the Strang
+      boundary column, row and corner, with half-width windows.
+
+    :attr:`diag` builds the (N+1) diagonal array from the two scalars.
     """
 
     N: int
     dt: float
     splitting: str
-    diag: np.ndarray = field(repr=False)
+    eta_kk: complex
     lag_kernel: np.ndarray = field(repr=False)
+    eta_00: complex = None
     eta_k0: np.ndarray = field(repr=False, default=None)  # k = 1..N-1
     eta_Nk: np.ndarray = field(repr=False, default=None)  # k = 1..N-1
     eta_N0: complex = None
+
+    @property
+    def diag(self) -> np.ndarray:
+        """The diagonal eta_kk for k = 0..N as a new (N+1) array."""
+        diag = np.full(self.N + 1, self.eta_kk, dtype=complex)
+        if self.eta_00 is not None:
+            diag[0] = diag[self.N] = self.eta_00
+        return diag
 
     def kernel(self, m: int) -> complex:
         """Interior off-diagonal coefficient at lag m = k - k' >= 1."""
@@ -63,7 +80,9 @@ class EtaGrid:
             raise InvalidInputError(
                 f"indices must satisfy 0 <= k' <= k <= N, got ({k}, {kp})")
         if k == kp:
-            return complex(self.diag[k])
+            if self.eta_00 is not None and k in (0, self.N):
+                return complex(self.eta_00)
+            return complex(self.eta_kk)
         if self.splitting == "strang":
             if k == self.N and kp == 0:
                 return complex(self.eta_N0)
@@ -129,15 +148,15 @@ def eta_trotter(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
 
     Every window is the full square [k dt, (k+1) dt] x [k' dt, (k'+1) dt]
     (triangle half for the diagonal), so off-diagonal entries depend only on
-    the lag and the diagonal is uniform.
+    the lag and the diagonal is uniform: it is the one value ``eta_kk``.
     """
     _check_series(series)
     if dt <= 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     if N < 1:
         raise InvalidInputError(f"N must be >= 1, got {N}")
-    diag = np.full(N + 1, _full_diag(series, dt), dtype=complex)
-    return EtaGrid(N=N, dt=dt, splitting="trotter", diag=diag,
+    return EtaGrid(N=N, dt=dt, splitting="trotter",
+                   eta_kk=_full_diag(series, dt),
                    lag_kernel=_lag_kernel(series, dt, N))
 
 
@@ -148,7 +167,8 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     [N dt - dt/2, N dt]; interior windows are full width and centred,
     [k dt - dt/2, k dt + dt/2].  Interior entries therefore coincide with the
     Trotter formulas while the boundary column, row and corner pick up
-    half-window factors.
+    half-window factors.  The diagonal holds two values: ``eta_kk`` for
+    k = 1..N-1 and ``eta_00`` = eta_NN for the half-width ends.
     """
     _check_series(series)
     if dt <= 0:
@@ -160,10 +180,6 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     s2 = _sinhc(w * dt / 2.0)  # sinh(w dt/2) = (w dt/2) s2
     s4 = _sinhc(w * dt / 4.0)
 
-    diag = np.full(N + 1, _full_diag(series, dt), dtype=complex)
-    # triangle windows of width dt/2 at the grid ends
-    diag[0] = diag[N] = _full_diag(series, dt / 2.0)
-
     # one full-width and one half-width window: the column k x [0, dt/2],
     # and the end [N dt - dt/2, N dt] x the source window around k' dt
     amp = p * (dt**2 / 2.0) * s2 * s4
@@ -173,8 +189,11 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     eta_N0 = complex(np.sum(
         p * (dt**2 / 4.0) * s4**2 * np.exp(w * (t_end - dt / 2.0))))
 
-    return EtaGrid(N=N, dt=dt, splitting="strang", diag=diag,
+    # triangle windows of width dt in the interior, dt/2 at the grid ends
+    return EtaGrid(N=N, dt=dt, splitting="strang",
+                   eta_kk=_full_diag(series, dt),
                    lag_kernel=_lag_kernel(series, dt, N),
+                   eta_00=_full_diag(series, dt / 2.0),
                    eta_k0=eta_k0, eta_Nk=eta_Nk, eta_N0=eta_N0)
 
 
@@ -242,18 +261,20 @@ def _over_omega(j, at_zero):
 def quapi_correct(grid: EtaGrid, lam: float, ctx: ThermalContext) -> EtaGrid:
     """Shift every diagonal coefficient by i dt lambda / (hbar pi).
 
-    Off-diagonal entries are unchanged.  The shift is applied uniformly,
-    including the half-width endpoint windows of a Strang grid; whether those
-    should carry half the counter term is an open modeling question, so the
-    uniform choice is documented here rather than silently halved.
+    The shift is added to the two stored diagonal values, ``eta_kk`` and
+    (Strang) ``eta_00``; off-diagonal entries are unchanged.  The shift is
+    applied uniformly, including the half-width endpoint windows of a Strang
+    grid; whether those should carry half the counter term is an open
+    modeling question, so the uniform choice is documented here rather than
+    silently halved.
     """
     if lam < 0:
         raise InvalidInputError(
             f"reorganization energy must be >= 0, got {lam}")
     shift = 1j * grid.dt * lam / (ctx.hbar * np.pi)
-    return EtaGrid(N=grid.N, dt=grid.dt, splitting=grid.splitting,
-                   diag=grid.diag + shift, lag_kernel=grid.lag_kernel,
-                   eta_k0=grid.eta_k0, eta_Nk=grid.eta_Nk, eta_N0=grid.eta_N0)
+    return replace(
+        grid, eta_kk=grid.eta_kk + shift,
+        eta_00=None if grid.eta_00 is None else grid.eta_00 + shift)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,15 @@ class TestPolygamma:
                 ref = complex(mpmath.polygamma(n, z))
             assert bk.polygamma(n, z) == pytest.approx(ref, rel=1e-11)
 
+    def test_array_matches_scalar_calls(self):
+        z = np.array([[0.3 + 2.0j, 1.0], [25.0 - 1.0j, -0.5 + 0.1j]])
+        for n in range(4):
+            got = bk.polygamma(n, z)
+            assert got.shape == z.shape
+            for value, zi in zip(got.ravel(), z.ravel()):
+                assert value == pytest.approx(bk.polygamma(n, zi),
+                                              rel=1e-15, abs=0.0)
+
     def test_pole(self):
         for z in (0.0, -1.0, -7.0):
             with pytest.raises(bk.PoleError):
@@ -401,6 +410,56 @@ class TestClosedForm:
             closed = bk.alpha_powerlaw_closed_form(J, CTX, t)
             ref = bk.alpha_quadrature(J, CTX, t)
             assert closed == pytest.approx(ref, rel=1e-8)
+
+    @pytest.mark.parametrize("s,wc,beta", [(1, 2.0, 1.0), (2, 0.5, 3.0),
+                                           (3, 7.0, 1.36), (4, 1.0, 0.3)])
+    def test_grid_matches_one_point_calls(self, s, wc, beta):
+        # numpy's and CPython's complex arithmetic may differ in the last
+        # bits, so a grid is held to the one-point calls within 1e-15 max|a|
+        J = bk.PowerLaw.create(0.7, s, wc)
+        ctx = bk.ThermalContext(beta=beta)
+        t = np.linspace(0.0, 30.0, 513)
+        grid = bk.alpha_powerlaw_closed_form(J, ctx, t)
+        points = [bk.alpha_powerlaw_closed_form(J, ctx, float(x)) for x in t]
+        assert all(type(a) is complex for a in points)
+        assert grid.shape == t.shape and grid.dtype == complex
+        assert np.max(np.abs(grid - points)) \
+            <= 1e-15 * np.max(np.abs(points))
+        square = bk.alpha_powerlaw_closed_form(J, ctx, t[:512].reshape(16, 32))
+        assert np.array_equal(square.ravel(), grid[:512])
+
+    def test_grid_against_extended_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        t = np.array([0.0, 0.4, 1.3, 3.0])
+        for s, wc, beta in ((1, 1.0, 1.0), (3, 2.0, 0.5)):
+            J = bk.PowerLaw.create(0.7, s, wc)
+            got = bk.alpha_powerlaw_closed_form(
+                J, bk.ThermalContext(beta=beta), t)
+            ref = []
+            with mpmath.workdps(30):
+                def j(w):
+                    return 0.7 * w**s * mpmath.exp(-w / wc) / mpmath.pi
+                for x in t:
+                    re = mpmath.quad(
+                        lambda w: j(w) * mpmath.coth(beta * w / 2)
+                        * mpmath.cos(w * x), [0, 2, 10, 40, mpmath.inf])
+                    im = mpmath.quad(lambda w: j(w) * mpmath.sin(w * x),
+                                     [0, 2, 10, 40, mpmath.inf])
+                    ref.append(complex(re, -im))
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_overflowing_value_is_typed(self):
+        # every factor is finite, but the product overflows: a RangeError,
+        # not inf
+        J = bk.PowerLaw.create(1e150, 100.0, 100.0)
+        for t in (0.5, np.array([0.0, 0.5])):
+            with pytest.raises(bk.RangeError):
+                bk.alpha_powerlaw_closed_form(J, CTX, t)
+
+    def test_negative_time_in_grid_rejected(self):
+        with pytest.raises(bk.InvalidInputError):
+            bk.alpha_powerlaw_closed_form(bk.PowerLaw.create(1.0, 1.0, 1.0),
+                                          CTX, np.array([0.0, -1.0]))
 
     def test_flat_density_diverges(self):
         with pytest.raises(bk.DivergenceError):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
+from bathkit import model
 from bathkit.cli import _read_csv_columns, _write_table, main
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -80,7 +81,8 @@ def write_series(tmp_path):
 
 
 def eta_reference(grid):
-    rows = [["diag", str(k), v.real, v.imag] for k, v in enumerate(grid.diag)]
+    rows = [["diag", str(k), grid.value(k, k).real, grid.value(k, k).imag]
+            for k in range(grid.N + 1)]
     rows += [["lag", str(m), grid.kernel(m).real, grid.kernel(m).imag]
              for m in range(1, grid.N + 1)]
     if grid.splitting == "strang":
@@ -109,6 +111,27 @@ class TestCliBytes:
         path = tmp_path / "eta.csv"
         assert main(argv + ["--out", str(path)]) == 0
         assert path.read_bytes() == out.encode()
+
+    @pytest.mark.parametrize("quapi", [False, True], ids=["plain", "quapi"])
+    @pytest.mark.parametrize("splitting,steps", [
+        (splitting, n)
+        for splitting, first in (("trotter", 1), ("strang", 2))
+        for n in (first, model._BLOCK - 1, model._BLOCK, model._BLOCK + 1,
+                  2 * model._BLOCK + 1)])
+    def test_eta_diagonal_runs_across_blocks(self, tmp_path, capsys,
+                                             splitting, steps, quapi):
+        # the diagonal is written as runs of one constant value (Trotter
+        # rows 0..N; Strang row 0, rows 1..N-1, row N), which span several
+        # writer blocks at the larger step counts
+        argv = ["eta", "--series", write_series(tmp_path), "--dt", "0.01",
+                "--steps", str(steps), "--splitting", splitting]
+        build = bk.eta_strang if splitting == "strang" else bk.eta_trotter
+        grid = build(SERIES, 0.01, steps)
+        if quapi:
+            argv += ["--quapi", "--lambda-value", "0.7"]
+            grid = bk.quapi_correct(grid, 0.7, bk.ThermalContext(beta=1.0))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == eta_reference(grid)
 
     @pytest.mark.parametrize("stat", ["be", "fd"])
     def test_pade_order5_empty_zeta_cell(self, capsys, stat):

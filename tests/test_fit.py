@@ -1,10 +1,13 @@
 """Tests for the exponential-sum fitting layer."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bathkit as bk
+from bathkit import fit as fitmod
 from bathkit.fit import (_pack, _symmetrize_conjugates, objective_jacobian,
                          objective_residuals)
 
@@ -280,20 +283,6 @@ class TestFitExponentials:
                                      bk.FitConfig())
         assert result.rms_residual <= 1e-8
 
-    def test_duplicated_rate_retry_keeps_previous_optimum(self):
-        # incremental_fit's retry start: the previous rung's rates with the
-        # last one repeated, whose basis is rank deficient
-        samples = power_law_samples(1.0, 1.36)
-        with pytest.warns(UserWarning, match="no usable minimum"):
-            prev = bk.incremental_fit(samples, 2, bk.FitConfig())[-1]
-        omega = prev.series.omega
-        retry = bk.ExponentialSeries(np.zeros(3), np.append(omega, omega[-1]))
-        refit = bk.fit_exponentials(samples, retry, bk.FitConfig())
-        assert np.all(np.isfinite(refit.series.p))
-        assert np.all(np.isfinite(refit.series.omega))
-        assert refit.rms_residual == pytest.approx(prev.rms_residual,
-                                                   rel=1e-12)
-
     def test_iteration_cap_gives_nonconverged(self):
         truth = bk.ExponentialSeries([0.7, 0.3], [-0.5 + 3j, -2.0 - 1j])
         samples = make_samples(truth)
@@ -328,6 +317,40 @@ class TestIncrementalFit:
         assert all(new <= old * (1 + 1e-9)
                    for new, old in zip(rms, PINNED_LADDERS[case]))
 
+
+    @pytest.mark.filterwarnings("ignore:no usable minimum")
+    def test_losing_rung_is_padded_previous_optimum(self, monkeypatch):
+        # a K = 2 fit that ends above the K = 1 optimum (its RMS set to inf
+        # here) is replaced by the K = 1 series padded with a zero-weight
+        # copy of its last term, at the K = 1 RMS and without a second fit;
+        # the K = 3 rung then starts from the repeated rate, a rank
+        # deficient basis
+        fit_exponentials, counts = fitmod.fit_exponentials, []
+
+        def second_rung_loses(samples, start, config):
+            counts.append(start.count)
+            result = fit_exponentials(samples, start, config)
+            if start.count == 2:
+                return dataclasses.replace(result, rms_residual=np.inf)
+            return result
+
+        monkeypatch.setattr(fitmod, "fit_exponentials", second_rung_loses)
+        samples = power_law_samples(1.0, 1.36)
+        first, padded, third = bk.incremental_fit(samples, 3, bk.FitConfig())
+        assert counts == [1, 2, 3]
+        prev = first.series
+        assert np.array_equal(padded.series.p, np.append(prev.p, 0.0))
+        assert np.array_equal(padded.series.omega,
+                              np.append(prev.omega, prev.omega[-1]))
+        assert padded.rms_residual == first.rms_residual
+        assert padded.converged == first.converged
+        res = objective_residuals(_pack(padded.series), samples)
+        actual = np.sqrt(np.sum(res**2) / samples.t.size) \
+            / np.max(np.abs(samples.alpha))
+        assert actual == pytest.approx(padded.rms_residual, rel=1e-12)
+        assert np.all(np.isfinite(third.series.p))
+        assert np.all(np.isfinite(third.series.omega))
+        assert third.rms_residual <= padded.rms_residual
 
     def test_ladder_monotone(self):
         truth = bk.ExponentialSeries([0.7, 0.3, 0.5],

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
+from bathkit.influence import _full_diag
 
 
 UNIT = bk.ExponentialSeries([1.0], [-1.0])
@@ -276,3 +277,48 @@ class TestQuapiCorrect:
         grid = bk.eta_trotter(UNIT, 1.0, 3)
         with pytest.raises(bk.InvalidInputError):
             bk.quapi_correct(grid, -1.0, ctx)
+
+
+@st.composite
+def decaying_series(draw):
+    """A decaying series of 1-4 terms."""
+    count = draw(st.integers(1, 4))
+    part = st.floats(-2.0, 2.0)
+    p = [complex(draw(part), draw(part)) for _ in range(count)]
+    omega = [complex(draw(st.floats(-5.0, -0.05)), draw(st.floats(-5.0, 5.0)))
+             for _ in range(count)]
+    return bk.ExponentialSeries(p, omega)
+
+
+def bits(values):
+    return np.asarray(values, dtype=complex).view(np.uint64)
+
+
+class TestDistinctDiagonal:
+    @settings(max_examples=150, deadline=None)
+    @given(series=decaying_series(),
+           splitting=st.sampled_from(["trotter", "strang"]),
+           N=st.integers(1, 40), dt=st.floats(1e-3, 2.0),
+           lam=st.one_of(st.none(), st.floats(0.0, 5.0)),
+           hbar=st.floats(0.5, 2.0))
+    def test_diag_is_full_array_construction(self, series, splitting, N, dt,
+                                             lam, hbar):
+        # the (N+1) array the grids stored before keeping only the distinct
+        # diagonal values: np.full, the Strang half-width ends, and the
+        # QUAPI shift added to the whole array
+        if splitting == "strang":
+            N = max(N, 2)
+            grid = bk.eta_strang(series, dt, N)
+        else:
+            grid = bk.eta_trotter(series, dt, N)
+        old = np.full(N + 1, _full_diag(series, dt), dtype=complex)
+        if splitting == "strang":
+            old[0] = old[N] = _full_diag(series, dt / 2.0)
+        if lam is not None:
+            ctx = bk.ThermalContext(beta=1.0, hbar=hbar)
+            grid = bk.quapi_correct(grid, lam, ctx)
+            old = old + 1j * dt * lam / (hbar * np.pi)
+        assert np.array_equal(bits(grid.diag), bits(old))
+        assert np.array_equal(
+            bits([grid.value(k, k) for k in range(N + 1)]), bits(old))
+        assert (grid.eta_00 is None) == (splitting == "trotter")
