@@ -32,7 +32,7 @@ from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
                     ExponentialSeries, ThermalContext, _fill_blocks,
-                    series_eval)
+                    _lorentzian_sum, series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -229,97 +229,77 @@ def _alpha_quadrature_powerlaw_singular(J, t, tol, g_re, j):
 # analytic series for the Lorentzian families
 # ---------------------------------------------------------------------------
 
-def _pade_rates(n_pade, statistics, ctx, terms):
-    if n_pade == 0:
-        return np.empty(0), np.empty(0)
-    params = pade_parameters(n_pade, statistics, ctx)
-    for term in terms:
-        mod = abs(complex(-term.gamma, term.omega_tilde))
-        if np.any(np.abs(params.xi - mod) <= 1e-12 * np.maximum(params.xi, mod)):
-            raise DegeneratePoleError(
-                f"approximant rate coincides with pole modulus {mod}; perturb "
-                "gamma by ~1e-9 relative and retry")
-    return params.xi, params.Xi
+def _pole_series(terms, ctx, n_pade, statistics, bose):
+    """The lower-half-plane residue sum of L(z)/pi * S(z) * exp(-izt).
 
+    L is the Lorentzian sum of ``terms``.  S approximates z (coth + 1) if
+    ``bose`` and 1 + tanh otherwise (argument beta*hbar*z/2) to order
+    ``n_pade`` with ``statistics`` parameters and c_k = 4 Xi_k/(beta*hbar):
+    2/(beta*hbar) + z + sum_k c_k z^2/(z^2 + xi_k^2), or
+    1 + sum_k c_k z/(z^2 + xi_k^2).  A Lorentzian pole z = i*Omega with
+    Omega = -gamma +/- i*omega_tilde (+ signs first) has residue i*lam/2 and
+    gives p = lam S(z)/(2 pi); a pole z = -i xi_k of S gives
+    p = -i Res S L(z)/pi with Omega = -xi_k.
+    """
+    lam, gamma, shift = np.array(
+        [(t.lam, t.gamma, t.omega_tilde) for t in terms]).T
+    xi = c = np.empty(0)
+    if n_pade:
+        params = pade_parameters(n_pade, statistics, ctx)
+        xi, c = params.xi, 4.0 * params.Xi / ctx.beta_hbar
+    # only a pole on the imaginary axis (omega_tilde = 0) can meet -i xi_k
+    g = np.where(shift == 0.0, gamma, np.nan)[:, None]
+    hit = np.abs(xi - g) <= 1e-12 * np.maximum(xi, g)
+    if hit.any():
+        raise DegeneratePoleError(
+            f"approximant rate {xi[hit.any(axis=0)][0]} coincides with a pole "
+            "rate gamma; perturb gamma by ~1e-9 relative and retry")
 
-def _matsubara_weight_sum(terms, xi_k):
-    total = 0.0
-    for term in terms:
-        om = complex(-term.gamma, term.omega_tilde)
-        total += term.lam * term.gamma * (xi_k**2 - abs(om) ** 2) \
-            / abs(xi_k**2 - om**2) ** 2
-    return total
+    h = 2 * lam.size
+    omega = np.concatenate([-gamma, -gamma, -xi]).astype(complex)
+    omega.imag[:h] = np.concatenate([shift, -shift])
+    z = 1j * omega
+    zl = z[:h, None]
+    frac = c * zl / (zl**2 + xi**2)
+    if bose:
+        s = 2.0 / ctx.beta_hbar + z[:h] + np.sum(frac * zl, axis=1)
+        res = c / 2.0 * z[h:]
+    else:
+        s = 1.0 + np.sum(frac, axis=1)
+        res = c / 2.0
+    p = np.concatenate([np.tile(lam, 2) * s / (2.0 * np.pi),
+                        -1j * res * _lorentzian_sum(terms, z[h:]) / np.pi])
+    return ExponentialSeries(p, omega)
 
 
 def alpha_series_gldd(J: GLDD, ctx: ThermalContext,
                       n_pade: int) -> ExponentialSeries:
-    """Exponential series for a generalized Lorentz-Drude/Debye density.
-
-    Returns 2*h + n_pade terms: one conjugate pole pair per Lorentzian term
-    plus n_pade purely decaying terms at the Bose-Einstein approximant rates.
-    The weights carry a 1/pi factor relative to the bare coefficient tables so
-    that the series reproduces the (1/pi)-normalised integral transform; this
-    is enforced by the quadrature cross-check in the test-suite.
-    """
-    terms = J.terms
-    bh = ctx.beta_hbar
-    xi, Xi = _pade_rates(n_pade, Statistics.BOSE_EINSTEIN, ctx, terms)
-
-    out_p, out_w = [], []
-    for sign in (+1, -1):
-        for term in terms:
-            om = complex(-term.gamma, sign * term.omega_tilde)
-            stat_sum = np.sum(2.0 * Xi * om**2 / (xi**2 - om**2)) if xi.size else 0.0
-            p = term.lam / bh * (1.0 - stat_sum) + 1j * term.lam * om / 2.0
-            out_p.append(p / np.pi)
-            out_w.append(om)
-    for k in range(xi.size):
-        p = 4.0 * Xi[k] * xi[k] / bh * _matsubara_weight_sum(terms, xi[k])
-        out_p.append(p / np.pi)
-        out_w.append(complex(-xi[k], 0.0))
-    return ExponentialSeries(out_p, out_w)
-
-
-def _alpha_series_scaled(terms, ctx, n_pade, statistics):
-    # shared weight formulas of the thermally scaled and Meier-Tannor tables
-    bh = ctx.beta_hbar
-    xi, Xi = _pade_rates(n_pade, statistics, ctx, terms)
-
-    out_p, out_w = [], []
-    for sign in (+1, -1):
-        for term in terms:
-            om = complex(-term.gamma, sign * term.omega_tilde)
-            stat_sum = np.sum(Xi * om / (xi**2 - om**2)) if xi.size else 0.0
-            p = term.lam / 2.0 + 1j * 2.0 * term.lam / bh * stat_sum
-            out_p.append(p / np.pi)
-            out_w.append(om)
-    for k in range(xi.size):
-        p = 1j * 4.0 * Xi[k] / bh * _matsubara_weight_sum(terms, xi[k])
-        out_p.append(p / np.pi)
-        out_w.append(complex(-xi[k], 0.0))
-    return ExponentialSeries(out_p, out_w)
+    """Exponential series for a generalized Lorentz-Drude/Debye density: one
+    conjugate pole pair per term, then n_pade Bose-Einstein approximant
+    terms.  J (coth + 1) = L/pi * w (coth + 1): the bose pole expansion."""
+    return _pole_series(J.terms, ctx, n_pade, Statistics.BOSE_EINSTEIN, True)
 
 
 def alpha_series_tgldd(J: TGLDD, ctx: ThermalContext,
                        n_pade: int) -> ExponentialSeries:
-    """Exponential series for a thermally scaled Lorentz-Drude/Debye density,
-    using Fermi-Dirac approximant parameters.  Same 1/pi normalisation as
-    :func:`alpha_series_gldd`."""
-    return _alpha_series_scaled(J.terms, ctx, n_pade, Statistics.FERMI_DIRAC)
+    """Exponential series for a thermally scaled Lorentz-Drude/Debye density.
+    J (coth + 1) = L/pi * (1 + tanh): the fermi pole expansion with
+    Fermi-Dirac approximant parameters."""
+    return _pole_series(J.terms, ctx, n_pade, Statistics.FERMI_DIRAC, False)
 
 
 def alpha_series_mt(J: MeierTannor, ctx: ThermalContext,
                     n_pade: int) -> ExponentialSeries:
     """Exponential series for a Meier-Tannor density from the published
-    coefficient table (Bose-Einstein approximant parameters).
-
-    The published weights do not reproduce the quadrature transform of the
-    Meier-Tannor density; :func:`converge_series` detects this and reports a
-    convergence failure, at which point callers fall back to
-    quadrature-sampled objectives.
+    coefficient table (Meier & Tannor, J. Chem. Phys. 111, 3365 (1999)): the
+    fermi pole expansion of the Lorentzian sum of J's terms with
+    Bose-Einstein parameters.  That is not the transform of J, whose poles
+    have other residues and whose statistics factor is w (coth + 1);
+    :func:`converge_series` detects this and reports a convergence failure,
+    at which point callers fall back to quadrature-sampled objectives.
     """
-    return _alpha_series_scaled(J.terms, ctx, n_pade,
-                                Statistics.BOSE_EINSTEIN)
+    return _pole_series(J.terms, ctx, n_pade, Statistics.BOSE_EINSTEIN,
+                        False)
 
 
 # ---------------------------------------------------------------------------

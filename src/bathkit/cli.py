@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the library layers:
 
 Problem specifications are INI-style ``key = value`` files (see the README
 for the grammar).  All tables are CSV with a header row and 17-significant-
-digit floats, so every emitted table round-trips through the input parsers.
+digit floats, so every emitted table round-trips through the input parsers;
+the commands reject input numbers that are not finite.
 ``eta`` writes its rows in this order: ``diag`` k = 0..N, ``lag`` m = 1..N,
 then (Strang only) ``k0`` and ``Nk`` interleaved for each k = 1..N-1 and a
 last ``N0`` row.  The diagonal takes one value (Trotter) or two (Strang,
@@ -30,6 +31,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import os
 import sys
 import warnings
@@ -113,6 +115,16 @@ def _read_csv_columns(path, min_cols, field):
     return np.asarray(rows, dtype=float)
 
 
+def _read_input_columns(path, min_cols, field):
+    """:func:`_read_csv_columns` for the numbers a command computes with,
+    which must all be finite (the parser itself reads back every table
+    the writer emits, nan and inf included)."""
+    data = _read_csv_columns(path, min_cols, field)
+    if not np.isfinite(data).all():
+        raise InvalidInputError(f"{field}: non-finite entry in {path}")
+    return data
+
+
 # ---------------------------------------------------------------------------
 # problem specification files
 # ---------------------------------------------------------------------------
@@ -175,10 +187,21 @@ def _spec_float(section, section_name, key, default=None):
                 f"{section_name}.{key}: missing from spec file")
         return default
     try:
-        return float(section[key])
+        return _finite_float(section[key])
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidInputError(f"{section_name}.{key}: {exc}")
+
+
+def _finite_float(text):
+    """A finite float from ``text``; the argparse type of the float flags."""
+    try:
+        value = float(text)
     except ValueError:
-        raise InvalidInputError(
-            f"{section_name}.{key}: expected a number, got {section[key]!r}")
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_density(section, spec_path):
@@ -237,7 +260,7 @@ def _parse_density(section, spec_path):
     path = section["file"]
     if not os.path.isabs(path):
         path = os.path.join(os.path.dirname(os.path.abspath(spec_path)), path)
-    data = _read_csv_columns(path, 2, "spectral_density.file")
+    data = _read_input_columns(path, 2, "spectral_density.file")
     try:
         return model.Tabulated(data[:, 0], data[:, 1])
     except InvalidInputError as exc:
@@ -245,7 +268,7 @@ def _parse_density(section, spec_path):
 
 
 def _load_series(path, field="series"):
-    data = _read_csv_columns(path, 4, field)
+    data = _read_input_columns(path, 4, field)
     return model.ExponentialSeries(data[:, 0] + 1j * data[:, 1],
                                    data[:, 2] + 1j * data[:, 3])
 
@@ -370,7 +393,7 @@ def _cmd_fit(args):
         kmax = args.kmax if args.kmax is not None \
             else spec.task_int("kmax", 0) or None
     else:
-        data = _read_csv_columns(args.alpha_file, 2, "alpha-file")
+        data = _read_input_columns(args.alpha_file, 2, "alpha-file")
         t = data[:, 0]
         alpha = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
         if args.k is None and args.kmax is None:
@@ -388,7 +411,7 @@ def _cmd_fit(args):
 
     weights = None
     if args.weights is not None:
-        wdata = _read_csv_columns(args.weights, 1, "weights")
+        wdata = _read_input_columns(args.weights, 1, "weights")
         weights = wdata[:, -1]
     samples = bcf.AlphaSamples(t, alpha, weights)
 
@@ -489,14 +512,14 @@ def _build_parser():
     p.add_argument("--stat", required=True, choices=["be", "fd"],
                    help="statistics: Bose-Einstein or Fermi-Dirac")
     p.add_argument("--order", required=True, type=int)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--hbar", type=_finite_float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_pade)
 
     p = sub.add_parser("alpha", help="bath response function on a time grid")
     p.add_argument("--spec", required=True)
-    p.add_argument("--tmax", type=float)
+    p.add_argument("--tmax", type=_finite_float)
     p.add_argument("--points", type=int)
     p.add_argument("--method", default="auto",
                    choices=["auto", "series", "quadrature", "closed"])
@@ -515,23 +538,23 @@ def _build_parser():
 
     p = sub.add_parser("jw", help="spectral density from a series")
     p.add_argument("--series", required=True)
-    p.add_argument("--wmax", required=True, type=float)
+    p.add_argument("--wmax", required=True, type=_finite_float)
     p.add_argument("--points", required=True, type=int)
-    p.add_argument("--beta", required=True, type=float)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--beta", required=True, type=_finite_float)
+    p.add_argument("--hbar", type=_finite_float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_jw)
 
     p = sub.add_parser("eta", help="influence functional coefficients")
     p.add_argument("--series", required=True)
-    p.add_argument("--dt", required=True, type=float)
+    p.add_argument("--dt", required=True, type=_finite_float)
     p.add_argument("--steps", required=True, type=int)
     p.add_argument("--splitting", required=True,
                    choices=["trotter", "strang"])
     p.add_argument("--quapi", action="store_true")
-    p.add_argument("--lambda-value", type=float)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--hbar", type=float, default=1.0)
+    p.add_argument("--lambda-value", type=_finite_float)
+    p.add_argument("--beta", type=_finite_float, default=1.0)
+    p.add_argument("--hbar", type=_finite_float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_eta)
 

@@ -49,6 +49,9 @@ class AccuracyError(BathkitError):
 class DegeneratePoleError(BathkitError):
     """A statistics-function pole coincides with a spectral-density pole.
 
+    In a Lorentzian series that happens exactly when a term has
+    omega_tilde = 0 and gamma equals an approximant rate xi_k (within 1e-12
+    relative): its pole -i*gamma is then the approximant's pole -i*xi_k.
     Callers may perturb the affected width by ~1e-9 relative and retry.
     """
 

@@ -55,7 +55,6 @@ class FitConfig:
     parameter_tolerance: float = 1e-14
     epsilon: float = 1e-8
     rng_seed: int = 0
-    symmetrize_conjugates: bool = False
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -291,29 +290,6 @@ class _Projection:
         return np.stack([m.real, m.imag], axis=1).reshape(-1, m.shape[1])
 
 
-def _symmetrize_conjugates(series, tol=1e-6):
-    """Average terms whose (p, omega) are mutually conjugate within tol."""
-    p = series.p.copy()
-    omega = series.omega.copy()
-    used = np.zeros(p.size, dtype=bool)
-    for i in range(p.size):
-        if used[i]:
-            continue
-        for j in range(i + 1, p.size):
-            if used[j]:
-                continue
-            scale = max(abs(p[i]), abs(omega[i]), 1.0)
-            if (abs(p[j] - p[i].conjugate()) <= tol * scale
-                    and abs(omega[j] - omega[i].conjugate()) <= tol * scale):
-                avg_p = 0.5 * (p[i] + p[j].conjugate())
-                avg_w = 0.5 * (omega[i] + omega[j].conjugate())
-                p[i], p[j] = avg_p, avg_p.conjugate()
-                omega[i], omega[j] = avg_w, avg_w.conjugate()
-                used[i] = used[j] = True
-                break
-    return ExponentialSeries(p, omega)
-
-
 def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
                      config: FitConfig) -> FitResult:
     """Bounded trust-region least squares over the rates of ``start``, with
@@ -344,8 +320,6 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
     a = problem.at(result.x).w[:, None] * problem.e
     p = problem.p + np.linalg.lstsq(a, problem.b - a @ problem.p)[0]
     series = ExponentialSeries(p, problem.omega)
-    if config.symmetrize_conjugates:
-        series = _symmetrize_conjugates(series)
     res = objective_residuals(_pack(series), scaled)
     rms = float(np.sqrt(np.sum(res**2) / samples.t.size))
     return FitResult(series=transform.unscale_series(series),

@@ -151,7 +151,7 @@ def eta_trotter(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     the lag and the diagonal is uniform: it is the one value ``eta_kk``.
     """
     _check_series(series)
-    if dt <= 0:
+    if not dt > 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     if N < 1:
         raise InvalidInputError(f"N must be >= 1, got {N}")
@@ -171,7 +171,7 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     k = 1..N-1 and ``eta_00`` = eta_NN for the half-width ends.
     """
     _check_series(series)
-    if dt <= 0:
+    if not dt > 0:
         raise InvalidInputError(f"dt must be positive, got {dt}")
     if N < 2:
         raise InvalidInputError(f"N must be >= 2, got {N}")

@@ -60,6 +60,14 @@ __all__ = [
 ]
 
 
+def _check_finite(params):
+    """Raise unless every field of the dataclass ``params`` is a finite
+    number."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ThermalContext:
     """Inverse temperature and hbar, fixing all temperature-dependent formulas.
@@ -67,7 +75,7 @@ class ThermalContext:
     Parameters
     ----------
     beta : float
-        Inverse temperature, units of 1/energy.  Must be positive.
+        Inverse temperature, units of 1/energy.  Positive and finite.
     hbar : float
         Reduced Planck constant in the caller's unit system (default 1).
     """
@@ -76,6 +84,7 @@ class ThermalContext:
     hbar: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.beta > 0:
             raise InvalidInputError(f"beta must be positive, got {self.beta}")
         if not self.hbar > 0:
@@ -100,6 +109,7 @@ class LorentzianTerm:
     omega_tilde: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.gamma > 0:
             raise InvalidInputError(f"gamma must be positive, got {self.gamma}")
         if self.omega_tilde < 0:
@@ -118,6 +128,7 @@ class PowerLawCutoff:
     stretching: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self)
         if not self.cutoff > 0:
             raise InvalidInputError(f"cutoff must be positive, got {self.cutoff}")
         if not self.stretching > 0:

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
 from bathkit import bcf
@@ -296,6 +297,88 @@ class TestAlphaQuadrature:
         assert evaluations <= 0.6 * callbacks
 
 
+LORENTZIAN_TERMS = st.lists(
+    st.builds(bk.LorentzianTerm,
+              st.floats(-3.0, 3.0).filter(lambda x: abs(x) > 1e-3),
+              st.floats(0.05, 5.0),
+              st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+    min_size=1, max_size=3)
+
+
+def exact_pole_expansion(mpmath, terms, beta, family, t):
+    """alpha(t), t > 0, of a GLDD ("gldd") or TGLDD density as the exact
+    lower-half-plane residue sum of L(z)/pi * S(z) exp(-izt) in 30-digit
+    arithmetic: S(z) = z (coth(beta z/2) + 1) with poles at the Matsubara
+    rates 2 pi k/beta, or 1 + tanh(beta z/2) with poles at (2k - 1) pi/beta,
+    summed while exp(-rate * t[0]) is above 1e-40."""
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    b = mp.mpf(beta)
+
+    def lorentz(z):
+        return sum(mp.mpf(h.lam) * h.gamma
+                   * (1 / (h.gamma**2 + (z - h.omega_tilde) ** 2)
+                      + 1 / (h.gamma**2 + (z + h.omega_tilde) ** 2))
+                   for h in terms)
+
+    def s(z):
+        if family == "gldd":
+            return z * (mp.coth(b * z / 2) + 1)
+        return 1 + mp.tanh(b * z / 2)
+
+    p, omega = [], []
+    for sign in (1, -1):
+        for h in terms:
+            om = mp.mpc(-h.gamma, sign * h.omega_tilde)
+            p.append(h.lam * s(1j * om) / (2 * mp.pi))
+            omega.append(om)
+    k = 1
+    while True:
+        if family == "gldd":
+            rate = 2 * mp.pi * k / b
+            res = -2j * rate / b       # residue of z (coth + 1) there
+        else:
+            rate = (2 * k - 1) * mp.pi / b
+            res = 2 / b                # residue of tanh there
+        if rate * t[0] > 92:
+            break
+        p.append(-1j * res * lorentz(-1j * rate) / mp.pi)
+        omega.append(-rate)
+        k += 1
+    return np.array([complex(sum(pk * mp.exp(om * mp.mpf(ti))
+                                 for pk, om in zip(p, omega)))
+                     for ti in t])
+
+
+def published_mt_table(mpmath, terms, ctx, n_pade):
+    """The published Meier-Tannor coefficient table with Bose-Einstein
+    approximant parameters, term by term in 30-digit arithmetic:
+    (p, omega) arrays."""
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    bh = mp.mpf(ctx.beta_hbar)
+    xi, Xi = [], []
+    if n_pade:
+        params = bk.pade_parameters(n_pade, "be", ctx)
+        xi = [mp.mpf(x) for x in params.xi]
+        Xi = [mp.mpf(x) for x in params.Xi]
+    p, omega = [], []
+    for sign in (1, -1):
+        for h in terms:
+            om = mp.mpc(-h.gamma, sign * h.omega_tilde)
+            stat_sum = sum(X * om / (x**2 - om**2) for x, X in zip(xi, Xi))
+            p.append((h.lam / 2 + 2j * h.lam / bh * stat_sum) / mp.pi)
+            omega.append(complex(-h.gamma, sign * h.omega_tilde))
+    for x, X in zip(xi, Xi):
+        weight_sum = sum(
+            h.lam * h.gamma * (x**2 - abs(mp.mpc(-h.gamma, h.omega_tilde))**2)
+            / abs(x**2 - mp.mpc(-h.gamma, h.omega_tilde) ** 2) ** 2
+            for h in terms)
+        p.append(4j * X / bh * weight_sum / mp.pi)
+        omega.append(complex(-float(x), 0.0))
+    return np.array([complex(v) for v in p]), np.array(omega)
+
+
 class TestSeriesBuilders:
     def test_zero_coupling_gives_zero(self):
         for builder, family in (
@@ -333,6 +416,54 @@ class TestSeriesBuilders:
         J = bk.GLDD([bk.LorentzianTerm(1.0, float(params.xi[1]), 0.0)])
         with pytest.raises(bk.DegeneratePoleError):
             bk.alpha_series_gldd(J, CTX, 3)
+
+    @pytest.mark.parametrize("factor,omega_tilde,raises", [
+        (1.0 + 5e-13, 0.0, True),
+        (1.0 + 1e-10, 0.0, False),
+        (1.0, 1e-6, False),
+    ])
+    def test_degeneracy_needs_coinciding_poles(self, factor, omega_tilde,
+                                               raises):
+        xi = float(bk.pade_parameters(3, "be", CTX).xi[1])
+        J = bk.GLDD([bk.LorentzianTerm(1.0, factor * xi, omega_tilde)])
+        if raises:
+            with pytest.raises(bk.DegeneratePoleError):
+                bk.alpha_series_gldd(J, CTX, 3)
+        else:
+            assert np.all(np.isfinite(bk.alpha_series_gldd(J, CTX, 3).p))
+
+    def test_rate_equal_to_pole_modulus_is_not_degenerate(self):
+        # xi_1 = |omega| = sqrt(2), but -i*xi_1 is no pole of J
+        xi_hat = bk.pade_parameters(3, "be", CTX).xi[0]
+        ctx = bk.ThermalContext(beta=float(xi_hat) / math.sqrt(2.0))
+        J = bk.GLDD([bk.LorentzianTerm(1.0, 1.0, 1.0)])
+        series = bk.alpha_series_gldd(J, ctx, 3)
+        assert series.count == 5 and np.all(np.isfinite(series.p))
+
+    @settings(max_examples=30, deadline=None)
+    @given(terms=LORENTZIAN_TERMS, beta=st.floats(0.2, 4.0),
+           family=st.sampled_from(["gldd", "tgldd"]))
+    def test_matches_exact_pole_expansion(self, terms, beta, family):
+        mpmath = pytest.importorskip("mpmath")
+        ctx = bk.ThermalContext(beta=beta)
+        builder, density = {"gldd": (bk.alpha_series_gldd, bk.GLDD),
+                            "tgldd": (bk.alpha_series_tgldd, bk.TGLDD)}[family]
+        series = builder(density(terms), ctx, 64)
+        t = np.linspace(0.2 * beta, 5.0 * beta, 12)
+        exact = exact_pole_expansion(mpmath, terms, beta, family, t)
+        assert np.max(np.abs(series(t) - exact)) \
+            <= 1e-12 * np.sum(np.abs(series.p))
+
+    @settings(max_examples=60, deadline=None)
+    @given(terms=LORENTZIAN_TERMS, beta=st.floats(0.2, 4.0),
+           n_pade=st.integers(0, 128))
+    def test_mt_is_the_published_table(self, terms, beta, n_pade):
+        mpmath = pytest.importorskip("mpmath")
+        ctx = bk.ThermalContext(beta=beta)
+        p, omega = published_mt_table(mpmath, terms, ctx, n_pade)
+        series = bk.alpha_series_mt(bk.MeierTannor(terms), ctx, n_pade)
+        assert np.array_equal(series.omega, omega)
+        assert np.max(np.abs(series.p - p)) <= 1e-14 * np.sum(np.abs(p))
 
     def test_gldd_matches_quadrature(self):
         series = bk.alpha_series_gldd(DRUDE, CTX, 40)

@@ -436,6 +436,37 @@ class TestExitCodes:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("command,edit,code,field", [
+        ("alpha", ("points = 9", "points = inf"), 3, "task.points"),
+        ("alpha", ("points = 9", "points = nan"), 3, "task.points"),
+        ("alpha", ("tmax = 4.0", "tmax = inf"), 3, "task.tmax"),
+        ("alpha", ("beta = 1.0", "beta = inf"), 3, "thermal.beta"),
+        ("lambda", ("term.1 = 1.0, 1.0", "term.1 = nan, 1.0"), 3, "term.1"),
+        ("eta", ("1.0,0.0,-1.0", "1.0,0.0,-inf"), 3, "series"),
+        ("eta", ("--dt 0.5", "--dt nan"), 2, "--dt"),
+        ("jw", ("--wmax 2", "--wmax inf"), 2, "--wmax"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, command,
+                                        edit, code, field):
+        # each edit applies to one of the spec, the series file and argv
+        spec = write_spec(tmp_path, DRUDE_SPEC.replace(*edit))
+        series = tmp_path / "series.csv"
+        series.write_text("re_p,im_p,re_omega,im_omega\n"
+                          "1.0,0.0,-1.0,0.0\n".replace(*edit))
+        argv = {"alpha": f"alpha --spec {spec}",
+                "lambda": f"lambda --spec {spec}",
+                "eta": f"eta --series {series} --dt 0.5 --steps 3 "
+                       "--splitting trotter",
+                "jw": f"jw --series {series} --wmax 2 --points 3 "
+                      "--beta 1.0"}[command]
+        try:
+            exit_code = main(argv.replace(*edit).split())
+        except SystemExit as exc:
+            exit_code = exc.code
+        captured = capsys.readouterr()
+        assert exit_code == code and captured.out == ""
+        assert field in captured.err and "finite" in captured.err
+
     @pytest.mark.parametrize("command", ["jw", "lambda"])
     def test_unwritable_out_is_invalid_input(self, tmp_path, capsys,
                                              command):

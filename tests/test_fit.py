@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import bathkit as bk
 from bathkit import fit as fitmod
-from bathkit.fit import (_pack, _symmetrize_conjugates, objective_jacobian,
+from bathkit.fit import (_pack, objective_jacobian,
                          objective_residuals)
 
 
@@ -387,34 +387,3 @@ class TestIncrementalFit:
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         with pytest.raises(bk.InvalidInputError):
             bk.incremental_fit(samples, 0, bk.FitConfig())
-
-
-class TestSymmetrizeConjugates:
-    def test_near_pair_made_exact(self):
-        p = np.array([0.5 + 0.2j, 0.5 - 0.2j + 3e-8])
-        omega = np.array([-1.0 + 2.0j, -1.0 - 2.0j + 4e-8j])
-        out = _symmetrize_conjugates(bk.ExponentialSeries(p, omega))
-        avg_p = 0.5 * (p[0] + np.conj(p[1]))
-        avg_w = 0.5 * (omega[0] + np.conj(omega[1]))
-        assert out.p[0] == pytest.approx(avg_p, rel=1e-15)
-        assert out.omega[0] == pytest.approx(avg_w, rel=1e-15)
-        assert out.p[1] == np.conj(out.p[0])
-        assert out.omega[1] == np.conj(out.omega[0])
-
-    def test_unpaired_and_distant_terms_unchanged(self):
-        p = np.array([0.3, 0.5 + 0.2j, 0.5 - 0.2j + 1e-3])
-        omega = np.array([-2.0, -1.0 + 2.0j, -1.0 - 2.0j])
-        out = _symmetrize_conjugates(bk.ExponentialSeries(p, omega))
-        assert np.array_equal(out.p, p)
-        assert np.array_equal(out.omega, omega)
-
-    def test_incremental_fit_returns_exact_pair(self):
-        truth = bk.ExponentialSeries([0.4 + 0.3j, 0.4 - 0.3j],
-                                     [-0.5 + 2.0j, -0.5 - 2.0j])
-        config = bk.FitConfig(rng_seed=3, symmetrize_conjugates=True)
-        ladder = bk.incremental_fit(make_samples(truth), 2, config)
-        fitted = ladder[-1].series
-        assert fitted.count == 2
-        assert ladder[-1].rms_residual <= 1e-6
-        assert fitted.p[1] == np.conj(fitted.p[0])
-        assert fitted.omega[1] == np.conj(fitted.omega[0])

@@ -61,6 +61,9 @@ class TestEtaTrotter:
             bk.eta_trotter(UNIT, 0.0, 2)
         with pytest.raises(bk.InvalidInputError):
             bk.eta_trotter(UNIT, 1.0, 0)
+        for eta in (bk.eta_trotter, bk.eta_strang):
+            with pytest.raises(bk.InvalidInputError):
+                eta(UNIT, float("nan"), 2)
 
 
 class TestEtaStrang:

@@ -25,6 +25,22 @@ class TestThermalContext:
             bk.ThermalContext(beta=beta, hbar=hbar)
 
 
+@pytest.mark.parametrize("cls,args", [
+    (bk.ThermalContext, (math.inf,)),
+    (bk.ThermalContext, (1.0, math.nan)),
+    (bk.LorentzianTerm, (math.nan, 1.0)),
+    (bk.LorentzianTerm, (1.0, math.inf)),
+    (bk.LorentzianTerm, (1.0, 1.0, math.inf)),
+    (bk.PowerLawCutoff, (-math.inf, 1.0, 1.0)),
+    (bk.PowerLawCutoff, (1.0, math.nan, 1.0)),
+    (bk.PowerLawCutoff, (1.0, 1.0, math.inf)),
+    (bk.PowerLawCutoff, (1.0, 1.0, 1.0, math.inf)),
+])
+def test_parameters_must_be_finite(cls, args):
+    with pytest.raises(bk.InvalidInputError, match="finite"):
+        cls(*args)
+
+
 class TestLorentzianTerm:
     def test_rejects_bad_gamma(self):
         with pytest.raises(bk.InvalidInputError):
