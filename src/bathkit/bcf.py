@@ -63,6 +63,9 @@ class AlphaSamples:
         if t.ndim != 1 or t.shape != alpha.shape or t.size < 2:
             raise InvalidInputError(
                 "t and alpha must be 1-d arrays of equal length >= 2")
+        for name, values in (("t", t), ("alpha", alpha)):
+            if not np.isfinite(values).all():
+                raise InvalidInputError(f"{name} must be finite")
         if t[0] != 0.0:
             raise InvalidInputError("time grid must start at t = 0")
         if np.any(np.diff(t) <= 0):
@@ -76,6 +79,8 @@ class AlphaSamples:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != t.shape:
                 raise InvalidInputError("weights must match the sample count")
+            if not np.isfinite(weights).all():
+                raise InvalidInputError("weights must be finite")
             if np.any(weights < 0):
                 raise InvalidInputError("weights must be non-negative")
         object.__setattr__(self, "t", t)
@@ -239,7 +244,8 @@ def _pole_series(terms, ctx, n_pade, statistics, bose):
     1 + sum_k c_k z/(z^2 + xi_k^2).  A Lorentzian pole z = i*Omega with
     Omega = -gamma +/- i*omega_tilde (+ signs first) has residue i*lam/2 and
     gives p = lam S(z)/(2 pi); a pole z = -i xi_k of S gives
-    p = -i Res S L(z)/pi with Omega = -xi_k.
+    p = -i Res S L(z)/pi with Omega = -xi_k.  Raises RangeError if a weight
+    or rate is not finite (an extreme beta*hbar against the term rates).
     """
     lam, gamma, shift = np.array(
         [(t.lam, t.gamma, t.omega_tilde) for t in terms]).T
@@ -260,15 +266,20 @@ def _pole_series(terms, ctx, n_pade, statistics, bose):
     omega.imag[:h] = np.concatenate([shift, -shift])
     z = 1j * omega
     zl = z[:h, None]
-    frac = c * zl / (zl**2 + xi**2)
-    if bose:
-        s = 2.0 / ctx.beta_hbar + z[:h] + np.sum(frac * zl, axis=1)
-        res = c / 2.0 * z[h:]
-    else:
-        s = 1.0 + np.sum(frac, axis=1)
-        res = c / 2.0
-    p = np.concatenate([np.tile(lam, 2) * s / (2.0 * np.pi),
-                        -1j * res * _lorentzian_sum(terms, z[h:]) / np.pi])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        frac = c * zl / (zl**2 + xi**2)
+        if bose:
+            s = 2.0 / ctx.beta_hbar + z[:h] + np.sum(frac * zl, axis=1)
+            res = c / 2.0 * z[h:]
+        else:
+            s = 1.0 + np.sum(frac, axis=1)
+            res = c / 2.0
+        p = np.concatenate([np.tile(lam, 2) * s / (2.0 * np.pi),
+                            -1j * res * _lorentzian_sum(terms, z[h:]) / np.pi])
+    if not (np.isfinite(p).all() and np.isfinite(omega).all()):
+        raise RangeError(
+            "series weights or rates overflow the float range at "
+            f"beta*hbar = {ctx.beta_hbar:g} and approximant order {n_pade}")
     return ExponentialSeries(p, omega)
 
 

@@ -16,7 +16,9 @@ the commands reject input numbers that are not finite.
 ``eta`` writes its rows in this order: ``diag`` k = 0..N, ``lag`` m = 1..N,
 then (Strang only) ``k0`` and ``Nk`` interleaved for each k = 1..N-1 and a
 last ``N0`` row.  The diagonal takes one value (Trotter) or two (Strang,
-whose ends differ), and the text of each is formatted once.  ``pade``'s
+whose ends differ), and the text of each is formatted once.  The ``Nk`` row
+at k is the ``k0`` row at N - k (eta_{N,k} = eta_{N-k,0}): the text of each
+boundary value is formatted once and written to both rows.  ``pade``'s
 ``zeta_per_time`` cell is empty on its last row.
 Tables stream in blocks of rows, so memory is bounded by the computed
 result arrays, not by the table's text.
@@ -64,30 +66,58 @@ def _open_out(path):
 def _write_table(path, header, blocks):
     """Write a CSV table to ``path`` (standard output for None or "-").
 
-    ``blocks`` is a sequence of ``(fmt, columns)``.  ``fmt`` formats one
-    record; it may span several lines and carry constant cells.  ``columns``
-    fill its ``%`` fields in order, one entry per record.  Each block is
-    streamed in slices of ``model._BLOCK`` records, one ``%`` operation per
-    slice, so the text and Python floats in memory at any time are those of
-    one slice.  No cell needs CSV quoting (labels, integers and ``%.17g``
-    floats, ``nan`` and ``inf`` included, hold no comma, quote or newline),
-    so the bytes are those ``csv.writer`` writes.
+    ``blocks`` is a sequence of ``(fmt, columns)`` whose text
+    :func:`_block_text` makes.  No cell needs CSV quoting (labels, integers
+    and ``%.17g`` floats, ``nan`` and ``inf`` included, hold no comma, quote
+    or newline), so the bytes are those ``csv.writer`` writes.
     """
     out, close = _open_out(path)
     try:
         out.write(",".join(header) + "\n")
         for fmt, columns in blocks:
-            ncols, full = len(columns), fmt * model._BLOCK
-            for s in model._slices(len(columns[0])):
-                nrows = s.stop - s.start
-                flat = [None] * (ncols * nrows)
-                for i, col in enumerate(columns):
-                    flat[i::ncols] = np.asarray(col[s]).tolist()
-                out.write((full if nrows == model._BLOCK else fmt * nrows)
-                          % tuple(flat))
+            out.writelines(_block_text(fmt, columns))
     finally:
         if close:
             out.close()
+
+
+def _block_text(fmt, columns):
+    """The text of one table block, yielded one ``model._slices`` slice of
+    records at a time.
+
+    ``fmt`` formats one record; it may span several lines and carry constant
+    cells.  ``columns`` fill its ``%`` fields in order, one entry per
+    record.  A column is an array-like, or a function that takes the slice
+    and returns its cells already formatted, as a list of text.  Each slice
+    is one ``%`` operation, so the text and Python floats in memory at any
+    time are those of one slice.
+    """
+    ncols, full = len(columns), fmt * model._BLOCK
+    for s in model._slices(len(columns[0])):
+        nrows = s.stop - s.start
+        flat = [None] * (ncols * nrows)
+        for i, col in enumerate(columns):
+            flat[i::ncols] = col(s) if callable(col) \
+                else np.asarray(col[s]).tolist()
+        yield (full if nrows == model._BLOCK else fmt * nrows) % tuple(flat)
+
+
+def _value_cells(z):
+    """The ``re,im`` text of each value of the complex array ``z``, formatted
+    once and held as one string per ``model._slices`` block (one string per
+    value would take about twice the memory).  Returns ``cells(start,
+    stop)``, the list of the texts of ``z[start:stop]``."""
+    blocks = list(zip(model._slices(len(z)),
+                      _block_text("%.17g,%.17g\n", (z.real, z.imag))))
+
+    def cells(start, stop):
+        out = []
+        for s, text in blocks:
+            if s.start < stop and start < s.stop:
+                out += text.splitlines()[max(start - s.start, 0):
+                                         stop - s.start]
+        return out
+    return cells
 
 
 def _read_csv_columns(path, min_cols, field):
@@ -178,6 +208,22 @@ class ProblemSpec:
         if value != int(value):
             raise InvalidInputError(f"task.{key}: expected an integer")
         return int(value)
+
+    def time_grid(self, tmax=None, points=None, default_tmax=None):
+        """linspace(0, tmax, points) with each of ``tmax`` and ``points``
+        taken from the argument if given, else from ``task.tmax`` (default
+        ``default_tmax``, or required) and ``task.points`` (default 201).
+        Checked before any numerics: the error names the task field."""
+        if tmax is None:
+            tmax = self.task_float("tmax", default_tmax)
+        if points is None:
+            points = self.task_int("points", 201)
+        if not tmax > 0:
+            raise InvalidInputError(f"task.tmax: must be > 0, got {tmax}")
+        if points < 2:
+            raise InvalidInputError(
+                f"task.points: must be >= 2, got {points}")
+        return np.linspace(0.0, tmax, points)
 
 
 def _spec_float(section, section_name, key, default=None):
@@ -302,10 +348,12 @@ def _route_error(J, method):
     return None
 
 
-def _alpha_function(spec, method, tol):
-    """Return (callable t_grid -> complex array, method actually used)."""
+def _alpha_function(spec, method):
+    """Return (callable t_grid -> complex array, method actually used); the
+    series route converges to ``task.tolerance`` (default 1e-6)."""
     J = spec.require_density()
     ctx = spec.ctx
+    tol = spec.task_float("tolerance", 1e-6)
     if method == "auto":
         method = next((m for m in ("series", "closed")
                        if _route_error(J, m) is None), "quadrature")
@@ -357,15 +405,8 @@ def _quadrature_function(J, ctx, reference=None, tol=None):
 
 def _cmd_alpha(args):
     spec = ProblemSpec.load(args.spec)
-    tmax = args.tmax if args.tmax is not None else spec.task_float("tmax")
-    points = args.points if args.points is not None \
-        else spec.task_int("points", 201)
-    if tmax <= 0 or points < 2:
-        raise InvalidInputError(
-            "task.tmax/task.points: need tmax > 0 and points >= 2")
-    tol = spec.task_float("tolerance", 1e-6)
-    fn, used = _alpha_function(spec, args.method, tol)
-    t_grid = np.linspace(0.0, tmax, points)
+    t_grid = spec.time_grid(args.tmax, args.points)
+    fn, used = _alpha_function(spec, args.method)
     alpha = fn(t_grid)
     print(f"alpha evaluated by method: {used}", file=sys.stderr)
     _write_table(args.out, ["t", "re_alpha", "im_alpha"],
@@ -380,11 +421,8 @@ def _cmd_fit(args):
     seed = args.seed
     if args.spec is not None:
         spec = ProblemSpec.load(args.spec)
-        tmax = spec.task_float("tmax", 5.0 * spec.ctx.beta_hbar)
-        points = spec.task_int("points", 201)
-        tol = spec.task_float("tolerance", 1e-6)
-        fn, used = _alpha_function(spec, "auto", tol)
-        t = np.linspace(0.0, tmax, points)
+        t = spec.time_grid(default_tmax=5.0 * spec.ctx.beta_hbar)
+        fn, used = _alpha_function(spec, "auto")
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
         if seed is None and "seed" in spec.task:
@@ -472,14 +510,16 @@ def _cmd_eta(args):
     if grid.splitting == "trotter":
         blocks = [_diag_rows(grid.eta_kk, range(N + 1)), lag_rows]
     else:
-        k0, Nk, N0 = grid.eta_k0, grid.eta_Nk, grid.eta_N0
+        # the Nk row at k holds the k0 value at N - k: one text serves both
+        cells, N0 = _value_cells(grid.eta_k0), grid.eta_N0
         blocks = [_diag_rows(grid.eta_00, range(1)),
                   _diag_rows(grid.eta_kk, range(1, N)),
                   _diag_rows(grid.eta_00, range(N, N + 1)),
                   lag_rows,
-                  ("k0,%d,%.17g,%.17g\nNk,%d,%.17g,%.17g\n",
-                   (range(1, N), k0.real, k0.imag,
-                    range(1, N), Nk.real, Nk.imag)),
+                  ("k0,%d,%s\nNk,%d,%s\n",
+                   (range(1, N), lambda s: cells(s.start, s.stop),
+                    range(1, N), lambda s: cells(N - 1 - s.stop,
+                                                 N - 1 - s.start)[::-1])),
                   ("N0,0,%.17g,%.17g\n", ([N0.real], [N0.imag]))]
     _write_table(args.out, ["table", "index", "re_eta", "im_eta"], blocks)
     return EXIT_OK

@@ -44,10 +44,13 @@ class EtaGrid:
     * ``eta_00``: the Strang end windows, eta_00 = eta_NN (None for Trotter);
     * ``lag_kernel``: interior off-diagonal entries, which depend on (k, k')
       only through the lag m = k - k', for m = 1..N;
-    * ``eta_k0``, ``eta_Nk`` (k = 1..N-1) and ``eta_N0``: the Strang
-      boundary column, row and corner, with half-width windows.
+    * ``eta_k0`` (k = 1..N-1) and ``eta_N0``: the Strang boundary column
+      and corner, with half-width windows.
 
-    :attr:`diag` builds the (N+1) diagonal array from the two scalars.
+    The Strang boundary row is the column mirrored, eta_{N,k} =
+    eta_{N-k,0} (stationarity), so it is not stored: :attr:`eta_Nk` is the
+    view ``eta_k0[::-1]``.  :attr:`diag` builds the (N+1) diagonal array
+    from the two scalars.
     """
 
     N: int
@@ -57,8 +60,17 @@ class EtaGrid:
     lag_kernel: np.ndarray = field(repr=False)
     eta_00: complex = None
     eta_k0: np.ndarray = field(repr=False, default=None)  # k = 1..N-1
-    eta_Nk: np.ndarray = field(repr=False, default=None)  # k = 1..N-1
     eta_N0: complex = None
+
+    @property
+    def eta_Nk(self) -> np.ndarray:
+        """The Strang end row eta_{N,k} for k = 1..N-1: a read-only view of
+        the column, eta_{N-k,0}.  None for Trotter."""
+        if self.eta_k0 is None:
+            return None
+        row = self.eta_k0[::-1]
+        row.flags.writeable = False
+        return row
 
     @property
     def diag(self) -> np.ndarray:
@@ -89,7 +101,7 @@ class EtaGrid:
             if kp == 0:
                 return complex(self.eta_k0[k - 1])
             if k == self.N:
-                return complex(self.eta_Nk[kp - 1])
+                return complex(self.eta_k0[self.N - kp - 1])
         return self.kernel(k - kp)
 
 
@@ -168,7 +180,9 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     [k dt - dt/2, k dt + dt/2].  Interior entries therefore coincide with the
     Trotter formulas while the boundary column, row and corner pick up
     half-window factors.  The diagonal holds two values: ``eta_kk`` for
-    k = 1..N-1 and ``eta_00`` = eta_NN for the half-width ends.
+    k = 1..N-1 and ``eta_00`` = eta_NN for the half-width ends.  The row
+    is the column mirrored (eta_{N,k} = eta_{N-k,0}), so only the column
+    is summed.
     """
     _check_series(series)
     if not dt > 0:
@@ -176,25 +190,22 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
     if N < 2:
         raise InvalidInputError(f"N must be >= 2, got {N}")
     p, w = series.p, series.omega
-    t_end = N * dt
     s2 = _sinhc(w * dt / 2.0)  # sinh(w dt/2) = (w dt/2) s2
     s4 = _sinhc(w * dt / 4.0)
 
-    # one full-width and one half-width window: the column k x [0, dt/2],
-    # and the end [N dt - dt/2, N dt] x the source window around k' dt
+    # one full-width and one half-width window: the column k x [0, dt/2]
     amp = p * (dt**2 / 2.0) * s2 * s4
     eta_k0 = _term_sum(amp, w, N - 1, lambda k: k * dt - dt / 4.0)
-    eta_Nk = _term_sum(amp, w, N - 1, lambda k: t_end - k * dt - dt / 4.0)
     # half end window x half source window
     eta_N0 = complex(np.sum(
-        p * (dt**2 / 4.0) * s4**2 * np.exp(w * (t_end - dt / 2.0))))
+        p * (dt**2 / 4.0) * s4**2 * np.exp(w * (N * dt - dt / 2.0))))
 
     # triangle windows of width dt in the interior, dt/2 at the grid ends
     return EtaGrid(N=N, dt=dt, splitting="strang",
                    eta_kk=_full_diag(series, dt),
                    lag_kernel=_lag_kernel(series, dt, N),
                    eta_00=_full_diag(series, dt / 2.0),
-                   eta_k0=eta_k0, eta_Nk=eta_Nk, eta_N0=eta_N0)
+                   eta_k0=eta_k0, eta_N0=eta_N0)
 
 
 # ---------------------------------------------------------------------------

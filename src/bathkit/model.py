@@ -459,6 +459,8 @@ class Tabulated:
             raise InvalidInputError("tabulated spectral density has no samples")
         if omega.shape != j.shape or omega.ndim != 1:
             raise InvalidInputError("omega and j must be 1-d arrays of equal length")
+        if not np.all(np.isfinite(omega)):
+            raise InvalidInputError("tabulated frequencies must be finite")
         if np.any(omega < 0):
             raise InvalidInputError("tabulated frequencies must be non-negative")
         if omega.size > 1 and np.any(np.diff(omega) <= 0):

@@ -43,6 +43,20 @@ class TestAlphaSamples:
         with pytest.raises(bk.InvalidInputError):
             bk.AlphaSamples([0.0, 1.0], [1.0, 0.5], [1.0, -1.0])
 
+    @pytest.mark.parametrize("field,t,alpha,weights", [
+        ("t", [0.0, np.nan, 2.0], [1.0, 0.5, np.inf], [1.0, np.nan, 1.0]),
+        ("t", [0.0, 1.0, np.inf], [1.0, 0.5, 0.2], None),
+        ("alpha", [0.0, 1.0, 2.0], [1.0, 0.5, np.inf], None),
+        ("alpha", [0.0, 1.0, 2.0], [1.0, complex(0.5, np.nan), 0.2], None),
+        ("weights", [0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [1.0, np.nan, 1.0]),
+        ("weights", [0.0, 1.0, 2.0], [1.0, 0.5, 0.2], [1.0, np.inf, 1.0])])
+    def test_rejects_non_finite(self, field, t, alpha, weights):
+        # a nan passes the ordering and sign tests, and a fit of such
+        # samples ended in a raw LinAlgError
+        with pytest.raises(bk.InvalidInputError,
+                           match=f"^{field} must be finite"):
+            bk.AlphaSamples(t, alpha, weights)
+
 
 SLOW_CTX = bk.ThermalContext(beta=1.7, hbar=0.9)
 SLOW_TERMS = [bk.LorentzianTerm(0.8, 1.5, 2.0), bk.LorentzianTerm(0.3, 0.4)]
@@ -675,6 +689,19 @@ class TestConvergeSeries:
     def test_unsupported_family(self):
         with pytest.raises(bk.InvalidInputError):
             bk.converge_series(bk.PowerLaw.create(1.0, 1.0, 1.0), CTX, 1e-4)
+
+    def test_overflowing_weights_are_typed(self):
+        # at beta = 1e-300 the approximant rates xi_k ~ 1e300 overflow the
+        # residues c_k z/2 of the bose expansion; the builder says so, where
+        # the series error read inf and was reported as a stalled
+        # ConvergenceError
+        J = bk.GLDD([bk.LorentzianTerm(0.5, 1.0)])
+        ctx = bk.ThermalContext(beta=1e-300)
+        with pytest.raises(bk.RangeError, match="overflow"):
+            bk.alpha_series_gldd(J, ctx, 2)
+        with pytest.warns(UserWarning, match="excluded"), \
+                pytest.raises(bk.RangeError, match="beta\\*hbar = 1e-300"):
+            bk.converge_series(J, ctx, 1e-6)
 
     def test_tolerance_proxy_computed_once_per_grid(self, monkeypatch):
         calls = []

@@ -467,6 +467,21 @@ class TestExitCodes:
         assert exit_code == code and captured.out == ""
         assert field in captured.err and "finite" in captured.err
 
+    @pytest.mark.parametrize("command", ["alpha", "fit"])
+    @pytest.mark.parametrize("edit,message", [
+        (("tmax = 4.0", "tmax = -3"), "task.tmax: must be > 0, got -3.0"),
+        (("points = 9", "points = 1"), "task.points: must be >= 2, got 1")])
+    def test_time_grid_checked_before_numerics(self, tmp_path, capsys,
+                                               monkeypatch, command, edit,
+                                               message):
+        # fit --spec once computed alpha first, and the samples' check
+        # then failed without naming the task field
+        spec = write_spec(tmp_path, DRUDE_SPEC.replace(*edit))
+        calls = count_quadratures(monkeypatch)
+        code, out, err = run_cli([command, "--spec", spec], capsys)
+        assert code == 3 and out == "" and calls == []
+        assert err == f"bathkit: invalid input: {message}\n"
+
     @pytest.mark.parametrize("command", ["jw", "lambda"])
     def test_unwritable_out_is_invalid_input(self, tmp_path, capsys,
                                              command):

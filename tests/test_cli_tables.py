@@ -133,6 +133,21 @@ class TestCliBytes:
         assert main(argv) == 0
         assert capsys.readouterr().out == eta_reference(grid)
 
+    @pytest.mark.parametrize("steps", [2, model._BLOCK + 1,
+                                       2 * model._BLOCK + 2])
+    def test_eta_end_row_text_mirrors_column(self, tmp_path, capsys, steps):
+        # eta_{N,k} = eta_{N-k,0}: the Nk row at k carries the text of the
+        # k0 row at N - k, across one and two writer blocks
+        assert main(["eta", "--series", write_series(tmp_path), "--dt",
+                     "0.01", "--steps", str(steps), "--splitting",
+                     "strang"]) == 0
+        rows = [line.split(",", 2)
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        k0 = {int(k): text for table, k, text in rows if table == "k0"}
+        Nk = {int(k): text for table, k, text in rows if table == "Nk"}
+        assert sorted(k0) == sorted(Nk) == list(range(1, steps))
+        assert all(Nk[k] == k0[steps - k] for k in Nk)
+
     @pytest.mark.parametrize("stat", ["be", "fd"])
     def test_pade_order5_empty_zeta_cell(self, capsys, stat):
         assert main(["pade", "--stat", stat, "--order", "5",

@@ -106,6 +106,16 @@ class TestEvalSpectralDensity:
         with pytest.raises(bk.InvalidInputError):
             bk.Tabulated([-1.0, 1.0], [0.0, 0.0])
 
+    @pytest.mark.parametrize("omega,j,field", [
+        ([0.0, 1.0, np.inf], [0.0, 1.0, 0.0], "frequencies"),
+        ([0.0, np.nan, 2.0], [0.0, 1.0, 0.0], "frequencies"),
+        ([0.0, 1.0, 2.0], [0.0, np.inf, 0.0], "J values")])
+    def test_tabulated_rejects_non_finite(self, omega, j, field):
+        # without the check [0, 1, inf] made omega_max = inf
+        with pytest.raises(bk.InvalidInputError,
+                           match=f"tabulated {field} must be finite"):
+            bk.Tabulated(omega, j)
+
     def test_lorentzian_families_need_terms(self):
         for cls in (bk.GLDD, bk.TGLDD, bk.MeierTannor):
             with pytest.raises(bk.InvalidInputError):
