@@ -11,9 +11,8 @@ import warnings
 
 import numpy as np
 
-from bathkit import (GLDD, AlphaSamples, FitConfig, LorentzianTerm,
-                     ThermalContext, alpha_quadrature, converge_series,
-                     incremental_fit)
+from bathkit import (GLDD, AlphaSamples, LorentzianTerm, ThermalContext,
+                     alpha_quadrature, converge_series, incremental_fit)
 
 ctx = ThermalContext(beta=1.0)
 J = GLDD([LorentzianTerm(1.0, 1.0, 0.0)])
@@ -40,9 +39,7 @@ alpha = np.array([complex(series(ti)) for ti in t_fit])
 alpha[0] = alpha[0].real  # the exact transform has no sine term at t = 0
 samples = AlphaSamples(t_fit, alpha)
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    ladder = incremental_fit(samples, 3, FitConfig(rng_seed=0))
+ladder = incremental_fit(samples, 3)
 
 print("\nincremental fit ladder:")
 for result in ladder:

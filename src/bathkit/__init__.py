@@ -4,8 +4,7 @@ built from them."""
 
 from .errors import (AccuracyError, BathkitError, ConvergenceError,
                      DegeneratePoleError, DivergenceError, InvalidInputError,
-                     PoleError, RangeError, UnsupportedOrderError,
-                     ZeroAmplitudeError)
+                     PoleError, RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, Tabulated, TGLDD,
                     ExponentialSeries, LorentzianTerm, PowerLawCutoff,
                     SpectralDensity, ThermalContext, bose_einstein,
@@ -16,7 +15,7 @@ from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
                   converge_series, polygamma, spectral_density_from_series)
 from .fit import (FitConfig, FitResult, ScalingTransform, fit_exponentials,
                   incremental_fit, objective_jacobian, objective_residuals,
-                  starting_values_heuristic, starting_values_pade)
+                  starting_values_pade)
 from .influence import (EtaGrid, eta_oracle, eta_strang, eta_trotter,
                         quapi_correct, reorganization_energy)
 
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccuracyError", "BathkitError", "ConvergenceError", "DegeneratePoleError",
     "DivergenceError", "InvalidInputError", "PoleError", "RangeError",
-    "UnsupportedOrderError", "ZeroAmplitudeError",
+    "UnsupportedOrderError",
     "GLDD", "MeierTannor", "PowerLaw", "Tabulated", "TGLDD",
     "ExponentialSeries", "LorentzianTerm", "PowerLawCutoff", "SpectralDensity",
     "ThermalContext", "bose_einstein", "eval_spectral_density", "series_eval",
@@ -35,7 +34,7 @@ __all__ = [
     "converge_series", "polygamma", "spectral_density_from_series",
     "FitConfig", "FitResult", "ScalingTransform", "fit_exponentials",
     "incremental_fit", "objective_jacobian", "objective_residuals",
-    "starting_values_heuristic", "starting_values_pade",
+    "starting_values_pade",
     "EtaGrid", "eta_oracle", "eta_strang", "eta_trotter", "quapi_correct",
     "reorganization_energy",
     "__version__",

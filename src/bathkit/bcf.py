@@ -509,7 +509,8 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     ConvergenceError
         If the order cap is reached, or the error stops improving (as for the
         published Meier-Tannor weights); carries the best error and series,
-        and the quadrature reference with its tolerance.
+        and the quadrature reference with its tolerance.  Also when that
+        reference is 0 at every compared time (no best error or series).
     """
     builder = _series_builder_for(J)
     if t_grid is None:
@@ -540,6 +541,12 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     stalls = 0
     for n in schedule:
         series = builder(J, ctx, n)
+        if ref_norm == 0:  # checked after a build, whose range errors win
+            raise ConvergenceError(
+                "the quadrature reference vanishes on the comparison grid "
+                f"[{ts[0]:.3g}, {ts[-1]:.3g}], so no relative series error "
+                "is defined; fall back to quadrature-sampled objectives",
+                reference=(ts, refs), reference_tol=quad_tol)
         err = np.max(np.abs(series_eval(series, ts) - refs)) / ref_norm
         if err <= tol:
             return series

@@ -418,15 +418,12 @@ def _cmd_fit(args):
     if (args.spec is None) == (args.alpha_file is None):
         raise InvalidInputError(
             "fit: exactly one of --spec and --alpha-file is required")
-    seed = args.seed
     if args.spec is not None:
         spec = ProblemSpec.load(args.spec)
         t = spec.time_grid(default_tmax=5.0 * spec.ctx.beta_hbar)
         fn, used = _alpha_function(spec, "auto")
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
-        if seed is None and "seed" in spec.task:
-            seed = spec.task_int("seed")
         k = args.k if args.k is not None else spec.task_int("k", 1)
         kmax = args.kmax if args.kmax is not None \
             else spec.task_int("kmax", 0) or None
@@ -456,8 +453,7 @@ def _cmd_fit(args):
     terms = kmax if kmax else k  # --k is unused when the ladder has a kmax
     if terms < 1:
         raise InvalidInputError(f"K must be >= 1, got {terms}")
-    config = fitmod.FitConfig(rng_seed=0 if seed is None else int(seed))
-    ladder = fitmod.incremental_fit(samples, terms, config)
+    ladder = fitmod.incremental_fit(samples, terms)
     best = min(ladder, key=lambda r: r.rms_residual)
 
     for result in ladder:
@@ -572,7 +568,6 @@ def _build_parser():
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--weights")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_fit)
 

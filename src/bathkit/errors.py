@@ -14,7 +14,6 @@ __all__ = [
     "DegeneratePoleError",
     "ConvergenceError",
     "UnsupportedOrderError",
-    "ZeroAmplitudeError",
     "RangeError",
 ]
 
@@ -85,7 +84,3 @@ class UnsupportedOrderError(BathkitError):
 class RangeError(BathkitError, OverflowError):
     """A result, or a value needed on the way to it, lies beyond the range
     of floating-point numbers (e.g. alpha(t) of a very steep power law)."""
-
-
-class ZeroAmplitudeError(BathkitError):
-    """Sampled response function vanishes at t = 0; no amplitude estimate."""

@@ -10,18 +10,18 @@ so SciPy's bounded trust-region solver ("trf", the only one of its methods
 that takes bounds) fits only the 2K real rate parameters, with Kaufman's
 Jacobian (BIT 15, 49 (1975)).  K is the start series' own, and the start
 gives only its rates.  :func:`incremental_fit` grows the term count one at a
-time, seeding each new term from a perturbed copy of the last fitted one.
+time and starts each K from the subspace (ESPRIT) estimate of K rates, read
+from one SVD of the Hankel matrix of the samples.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bcf import AlphaSamples, _series_builder_for
-from .errors import InvalidInputError, ZeroAmplitudeError
+from .errors import InvalidInputError
 from .model import _EXP_CLAMP, ExponentialSeries, ThermalContext, series_eval
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "objective_residuals",
     "objective_jacobian",
     "starting_values_pade",
-    "starting_values_heuristic",
     "fit_exponentials",
     "incremental_fit",
 ]
@@ -54,7 +53,6 @@ class FitConfig:
     residual_tolerance: float = 1e-12
     parameter_tolerance: float = 1e-14
     epsilon: float = 1e-8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -176,80 +174,30 @@ def starting_values_pade(J, ctx: ThermalContext, K: int) -> ExponentialSeries:
     return builder(J, ctx, K - n_pairs)
 
 
-def _first_crossing(t, y):
-    """Time of the first sign change of y, linearly interpolated; None if y
-    never changes sign.  Leading zeros are skipped."""
-    i0 = 0
-    while i0 < y.size and y[i0] == 0.0:
-        i0 += 1
-    for i in range(i0, y.size - 1):
-        if y[i] == 0.0:
-            return t[i]
-        if y[i] * y[i + 1] < 0:
-            return t[i] - y[i] * (t[i + 1] - t[i]) / (y[i + 1] - y[i])
-    return None
+def _hankel_basis(samples: AlphaSamples):
+    """Left singular vectors of the Hankel matrix of alpha, with floor(n/2)
+    + 1 rows, and the grid step.  alpha is interpolated linearly onto the
+    uniform grid of n points spanning the samples, which on a uniform grid
+    returns the samples themselves."""
+    t, n = samples.t, samples.t.size
+    grid = np.linspace(t[0], t[-1], n)
+    y = np.interp(grid, t, samples.alpha)
+    rows = n // 2 + 1
+    hankel = y[np.add.outer(np.arange(rows), np.arange(n - rows + 1))]
+    return np.linalg.svd(hankel, full_matrices=False)[0], grid[1] - grid[0]
 
 
-def _first_local_min(t, y):
-    for i in range(1, y.size - 1):
-        if y[i] < y[i - 1] and y[i] < y[i + 1]:
-            return i
-    return None
-
-
-def starting_values_heuristic(samples: AlphaSamples) -> ExponentialSeries:
-    """Single-term starting guess from the shape of the sampled data.
-
-    The weight is the (real) initial value, the oscillation frequency comes
-    from the first quarter period of each component, and the damping rate
-    from log ratios of the envelope at the first minimum of the real part.
-    Emits a warning and uses conservative defaults when the sampled window
-    shows no usable oscillation or decay structure.
-    """
-    t, alpha = samples.t, samples.alpha
-    p1 = float(alpha[0].real)
-    if p1 == 0.0:
-        raise ZeroAmplitudeError(
-            "alpha(0) = 0: no amplitude estimate for the single-term start")
-
-    # frequency: first zero crossing of Re is a quarter period; Im starts at
-    # 0, so its first crossing is a half period
-    freq_estimates = []
-    tc = _first_crossing(t, alpha.real)
-    if tc is not None and tc > 0:
-        freq_estimates.append(2.0 * np.pi / (4.0 * tc))
-    tc = _first_crossing(t, alpha.imag)
-    if tc is not None and tc > 0:
-        freq_estimates.append(2.0 * np.pi / (2.0 * tc))
-    im_omega = float(np.mean(freq_estimates)) if freq_estimates else 0.0
-
-    # damping: envelope log ratios at the first minimum of Re(alpha)
-    i_min = _first_local_min(t, alpha.real)
-    rate_estimates = []
-    if i_min is not None:
-        t_min = t[i_min]
-        denom = p1 * np.cos(im_omega * t_min)
-        if denom != 0.0 and alpha.real[i_min] / denom > 0:
-            rate_estimates.append(np.log(alpha.real[i_min] / denom) / t_min)
-        denom = p1 * np.sin(im_omega * t_min)
-        if denom != 0.0 and alpha.imag[i_min] / denom > 0:
-            rate_estimates.append(np.log(alpha.imag[i_min] / denom) / t_min)
-    rate_estimates = [r for r in rate_estimates if r < 0]
-    if rate_estimates:
-        re_omega = float(np.mean(rate_estimates))
-    else:
-        # no minimum (monotone decay) or inconsistent envelope: fall back to
-        # the end-to-end log ratio, then to a unit rate on the sampled window
-        tail = alpha.real[-1] / p1
-        if 0 < tail < 1:
-            re_omega = float(np.log(tail) / t[-1])
-        else:
-            re_omega = -1.0 / t[-1]
-            im_omega = 0.0
-        warnings.warn(
-            "no usable minimum in Re(alpha); falling back to an end-to-end "
-            "decay estimate", stacklevel=2)
-    return ExponentialSeries([p1], [complex(re_omega, im_omega)])
+def _subspace_start(basis, dt, K) -> ExponentialSeries:
+    """K-term start whose rates are the ESPRIT estimate (Roy & Kailath, IEEE
+    Trans. ASSP 37, 984 (1989)): the eigenvalues z of the shift that maps
+    the leading K singular vectors onto themselves one step later give
+    omega = log(z) / dt.  Its weights are placeholders."""
+    u = basis[:, :K]
+    z = np.linalg.eigvals(np.linalg.lstsq(u[:-1], u[1:])[0])
+    # z = 0 is a term gone within one step: it starts at the fastest
+    # finite decay, not at -inf
+    return ExponentialSeries(
+        np.ones(K), np.log(np.where(z == 0, np.finfo(float).tiny, z)) / dt)
 
 
 # ---------------------------------------------------------------------------
@@ -330,46 +278,45 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
 
 def incremental_fit(samples: AlphaSamples, K_max: int,
                     config: FitConfig = None) -> list:
-    """Grow the term count from 1 to ``K_max``, refitting at each step.
+    """Grow the term count from 1 to ``K_max``, fitting each K afresh.
 
-    The K = 1 start comes from :func:`starting_values_heuristic`; each later
-    start is the previous fitted series plus one new term obtained by
-    perturbing the last term with (1 + n) standard-normal factors from the
-    seeded generator.  A rung whose fit ends above the previous RMS is
-    replaced by the previous series padded with a zero-weight copy of its
-    last term, at the previous RMS, so the RMS never rises along the ladder.
-    Stops early once the scaled RMS drops below
-    ``config.residual_tolerance``.  Results for all attempted K are returned.
+    Every rung starts from the subspace estimate of its K rates, all read
+    from one SVD of the Hankel matrix of the samples (see
+    :func:`_hankel_basis`), so the ladder is deterministic.  That matrix
+    resolves at most n // 2 rates for n samples.  A rung beyond that, or
+    one whose fit ends above the previous RMS, is the previous series
+    padded with a zero-weight copy of its last term, at the previous RMS, so
+    the RMS never rises along the ladder.  Stops early once the scaled RMS
+    drops below ``config.residual_tolerance``.  Results for all attempted K
+    are returned.
     """
     if K_max < 1:
         raise InvalidInputError(f"K_max must be >= 1, got {K_max}")
     if config is None:
         config = FitConfig()
-    rng = np.random.default_rng(config.rng_seed)
+    if not np.any(samples.alpha):
+        raise InvalidInputError("alpha is 0 at every sample: nothing to fit")
 
+    basis, dt = _hankel_basis(samples)
     results = []
-    start = starting_values_heuristic(samples)
     for K in range(1, K_max + 1):
-        fit = fit_exponentials(samples, start, config)
-        if results and fit.rms_residual > results[-1].rms_residual:
-            # the perturbed start lost to the previous optimum; the rung
-            # becomes the previous fit padded with a zero-weight copy of its
-            # last term, which has the previous RMS (a refit from there
-            # moves the two equal rates together and cannot improve on it)
+        fit = None
+        if K <= samples.t.size // 2:
+            fit = fit_exponentials(samples, _subspace_start(basis, dt, K),
+                                   config)
+        if fit is None or (results
+                           and fit.rms_residual > results[-1].rms_residual):
+            # a refit from the padded series moves the two equal rates
+            # together and cannot improve on the previous RMS
             prev = results[-1]
             fit = FitResult(
                 series=ExponentialSeries(
                     np.append(prev.series.p, 0.0),
                     np.append(prev.series.omega, prev.series.omega[-1])),
-                rms_residual=prev.rms_residual, iterations=fit.iterations,
+                rms_residual=prev.rms_residual,
+                iterations=fit.iterations if fit else 0,
                 converged=prev.converged)
         results.append(fit)
         if fit.rms_residual < config.residual_tolerance:
             break
-        if K < K_max:
-            prev = fit.series
-            p_new = prev.p[-1] * (1.0 + rng.standard_normal())
-            w_new = prev.omega[-1] * (1.0 + rng.standard_normal())
-            start = ExponentialSeries(np.append(prev.p, p_new),
-                                      np.append(prev.omega, w_new))
     return results

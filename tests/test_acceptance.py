@@ -119,16 +119,8 @@ def test_criterion_5_fit_round_trips():
     for K in (1, 2, 3):
         truth = _random_feasible_series(rng, K)
         samples = bk.AlphaSamples(t, truth(t))
-        config = bk.FitConfig(rng_seed=7)
-
-        def run():
-            import warnings
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                return bk.incremental_fit(samples, K, config)
-
-        ladder = run()
-        again = run()
+        ladder = bk.incremental_fit(samples, K)
+        again = bk.incremental_fit(samples, K)
         rms = [r.rms_residual for r in ladder]
         monotone = all(b <= a + 1e-10 for a, b in zip(rms, rms[1:]))
         identical = all(

@@ -6,6 +6,7 @@ integrator; the analytic routes are validated against the quadrature route
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -702,6 +703,22 @@ class TestConvergeSeries:
         with pytest.warns(UserWarning, match="excluded"), \
                 pytest.raises(bk.RangeError, match="beta\\*hbar = 1e-300"):
             bk.converge_series(J, ctx, 1e-6)
+
+    def test_vanishing_reference_is_typed(self):
+        # at beta = 1e300 every t > 0 of [0, 5 beta*hbar] is >= 2.5e298,
+        # where the quadrature reference is 0; the relative error would
+        # divide by that zero norm (a RuntimeWarning, then 'stalled at inf')
+        J = bk.GLDD([bk.LorentzianTerm(0.5, 1.0)])
+        ctx = bk.ThermalContext(beta=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.warns(UserWarning, match="excluded"), \
+                    pytest.raises(bk.ConvergenceError,
+                                  match="reference vanishes") as exc:
+                bk.converge_series(J, ctx, 1e-6)
+        ts, refs = exc.value.reference
+        assert ts.size == 200 and np.all(refs == 0)
+        assert exc.value.best_result is None
 
     def test_tolerance_proxy_computed_once_per_grid(self, monkeypatch):
         calls = []

@@ -28,8 +28,6 @@ def parse_table(text):
 # warnings reach standard error as single note lines
 EXCLUDED_NOTE = ("bathkit: note: excluded 1 grid point(s) where the "
                  "quadrature reference does not converge")
-MINIMUM_NOTE = ("bathkit: note: no usable minimum in Re(alpha); falling back "
-                "to an end-to-end decay estimate")
 
 
 def write_spec(tmp_path, body, name="problem.ini"):
@@ -245,8 +243,7 @@ class TestFit:
         code, out, err = run_cli(
             ["fit", "--alpha-file", path, "--k", "1"], capsys)
         assert code == 0
-        assert MINIMUM_NOTE in err.splitlines()
-        assert "Warning" not in err
+        assert "note" not in err and "Warning" not in err
         _, body = parse_table(out)
         re_p, im_p, re_w, im_w = (float(c) for c in body[0])
         assert re_p == pytest.approx(1.0, abs=1e-6)
@@ -255,16 +252,26 @@ class TestFit:
         assert im_w == pytest.approx(0.0, abs=1e-6)
         assert "scaled RMS" in err
 
-    def test_seed_byte_identical(self, tmp_path, capsys):
+    def test_repeat_byte_identical(self, tmp_path, capsys):
+        # the ladder has no seed: a repeat writes the same bytes
         spec = write_spec(tmp_path, DRUDE_SPEC + "kmax = 2\n")
-        code1, out1, err1 = run_cli(
-            ["fit", "--spec", spec, "--kmax", "2", "--seed", "3"], capsys)
-        code2, out2, err2 = run_cli(
-            ["fit", "--spec", spec, "--kmax", "2", "--seed", "3"], capsys)
+        code1, out1, err1 = run_cli(["fit", "--spec", spec], capsys)
+        code2, out2, err2 = run_cli(["fit", "--spec", spec], capsys)
         assert code1 == code2 == 0
         assert out1 == out2
         assert err1 == err2
-        assert {EXCLUDED_NOTE, MINIMUM_NOTE} <= set(err1.splitlines())
+        assert EXCLUDED_NOTE in err1.splitlines()
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--spec", spec, "--seed", "3"])
+        assert exc.value.code == 2
+
+    def test_zero_alpha_is_invalid_input(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("t,re_alpha\n0,0\n1,0\n2,0\n")
+        code, out, err = run_cli(
+            ["fit", "--alpha-file", str(path), "--kmax", "2"], capsys)
+        assert code == 3 and out == ""
+        assert "alpha is 0 at every sample" in err
 
     def test_spec_fallback_reuses_reference(self, tmp_path, capsys,
                                             monkeypatch):
@@ -290,16 +297,16 @@ class TestFit:
         code, out, err = run_cli(
             ["fit", "--alpha-file", alpha_csv, "--kmax", "2"], capsys)
         assert code == 0
-        assert f"dropped spurious Im(alpha(0)) = {float(im0):.3e}" in err
-        assert MINIMUM_NOTE in err.splitlines()
+        notes = [line for line in err.splitlines() if "note" in line]
+        assert notes == ["bathkit: note: dropped spurious Im(alpha(0)) = "
+                         f"{float(im0):.3e} from the sampled objectives"]
 
         projected = tmp_path / "projected.csv"
         projected.write_text("\n".join(
             lines[:1] + [f"0,{re0},0"] + lines[2:]) + "\n")
         code, out_projected, err_projected = run_cli(
             ["fit", "--alpha-file", str(projected), "--kmax", "2"], capsys)
-        assert code == 0 and "dropped" not in err_projected
-        assert MINIMUM_NOTE in err_projected.splitlines()
+        assert code == 0 and "note" not in err_projected
         assert out == out_projected
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
