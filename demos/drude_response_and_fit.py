@@ -4,7 +4,8 @@ A single unshifted Lorentzian term gives the classic Drude/Debye spectral
 density.  We evaluate its response function alpha(t) by adaptive quadrature
 of the defining transform, by the converged analytic exponential series, and
 finally by a small nonlinear least-squares fit -- showing that three fitted
-exponentials already reproduce alpha(t) to a few parts in 1e7.
+exponentials already reproduce alpha(t) to an RMS of about 6e-4 of its
+largest value.
 """
 
 import warnings
