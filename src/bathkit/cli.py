@@ -455,6 +455,12 @@ def _cmd_fit(args):
         raise InvalidInputError(f"K must be >= 1, got {terms}")
     ladder = fitmod.incremental_fit(samples, terms)
     best = min(ladder, key=lambda r: r.rms_residual)
+    unfitted = [r.series.count for r in ladder if r.iterations == 0]
+    if unfitted:
+        print(f"bathkit: note: the start resolves at most {unfitted[0] - 1}"
+              f" rates from {t.size} samples; K={unfitted[0]}.."
+              f"{unfitted[-1]} repeat the K={unfitted[0] - 1} fit padded with"
+              " zero weights", file=sys.stderr)
 
     for result in ladder:
         print(f"K={result.series.count}: scaled RMS {result.rms_residual:.6e},"

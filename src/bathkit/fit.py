@@ -174,16 +174,23 @@ def starting_values_pade(J, ctx: ThermalContext, K: int) -> ExponentialSeries:
     return builder(J, ctx, K - n_pairs)
 
 
+# the most points the subspace start reads: its SVD costs O(m^3) in the
+# m = min(n, _HANKEL_POINTS) points, while the fit itself uses all n samples
+_HANKEL_POINTS = 512
+
+
 def _hankel_basis(samples: AlphaSamples):
-    """Left singular vectors of the Hankel matrix of alpha, with floor(n/2)
+    """Left singular vectors of the Hankel matrix of alpha, with floor(m/2)
     + 1 rows, and the grid step.  alpha is interpolated linearly onto the
-    uniform grid of n points spanning the samples, which on a uniform grid
-    returns the samples themselves."""
-    t, n = samples.t, samples.t.size
-    grid = np.linspace(t[0], t[-1], n)
+    uniform grid of m = min(n, _HANKEL_POINTS) points spanning the n
+    samples, which on a uniform grid of n <= _HANKEL_POINTS returns the
+    samples themselves."""
+    t = samples.t
+    m = min(t.size, _HANKEL_POINTS)
+    grid = np.linspace(t[0], t[-1], m)
     y = np.interp(grid, t, samples.alpha)
-    rows = n // 2 + 1
-    hankel = y[np.add.outer(np.arange(rows), np.arange(n - rows + 1))]
+    rows = m // 2 + 1
+    hankel = y[np.add.outer(np.arange(rows), np.arange(m - rows + 1))]
     return np.linalg.svd(hankel, full_matrices=False)[0], grid[1] - grid[0]
 
 
@@ -283,12 +290,13 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     Every rung starts from the subspace estimate of its K rates, all read
     from one SVD of the Hankel matrix of the samples (see
     :func:`_hankel_basis`), so the ladder is deterministic.  That matrix
-    resolves at most n // 2 rates for n samples.  A rung beyond that, or
-    one whose fit ends above the previous RMS, is the previous series
-    padded with a zero-weight copy of its last term, at the previous RMS, so
-    the RMS never rises along the ladder.  Stops early once the scaled RMS
-    drops below ``config.residual_tolerance``.  Results for all attempted K
-    are returned.
+    resolves at most m // 2 rates, m = min(n, 512) for n samples.  A rung
+    beyond that (its ``iterations`` is 0), or one whose fit ends above the
+    previous RMS, is the previous series padded with a zero-weight copy of
+    its last term, at the previous RMS, so the RMS never rises along the
+    ladder.  Stops early once the scaled RMS drops below
+    ``config.residual_tolerance``.  Results for all attempted K are
+    returned.
     """
     if K_max < 1:
         raise InvalidInputError(f"K_max must be >= 1, got {K_max}")
@@ -301,7 +309,7 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     results = []
     for K in range(1, K_max + 1):
         fit = None
-        if K <= samples.t.size // 2:
+        if K < basis.shape[0]:  # the shift of K vectors needs K + 1 rows
             fit = fit_exponentials(samples, _subspace_start(basis, dt, K),
                                    config)
         if fit is None or (results

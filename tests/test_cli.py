@@ -273,6 +273,21 @@ class TestFit:
         assert code == 3 and out == ""
         assert "alpha is 0 at every sample" in err
 
+    def test_rungs_beyond_the_samples_get_a_note(self, tmp_path, capsys):
+        # five samples resolve at most two rates: K = 3, 4 are not fitted
+        path = tmp_path / "short.csv"
+        path.write_text("t,re_alpha\n0,1\n1,0.3\n2,0.5\n3,-0.2\n4,0.1\n")
+        code, _, err = run_cli(
+            ["fit", "--alpha-file", str(path), "--kmax", "4"], capsys)
+        assert code == 0
+        notes = [line for line in err.splitlines() if "note" in line]
+        assert notes == ["bathkit: note: the start resolves at most 2 rates "
+                         "from 5 samples; K=3..4 repeat the K=2 fit padded "
+                         "with zero weights"]
+        code, _, err = run_cli(
+            ["fit", "--alpha-file", str(path), "--kmax", "2"], capsys)
+        assert code == 0 and "note" not in err
+
     def test_spec_fallback_reuses_reference(self, tmp_path, capsys,
                                             monkeypatch):
         # 101 points on [0, 5 beta] are every other time of the stalled

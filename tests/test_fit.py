@@ -428,6 +428,18 @@ class TestIncrementalFit:
             assert rung.rms_residual == second.rms_residual
             assert rung.iterations == 0
 
+    def test_long_grid_start_reads_a_bounded_grid(self):
+        # 1e5 samples: the start interpolates onto 512 points, so its SVD
+        # stays small, and the fit on all samples is exact
+        t = np.linspace(0.0, 10.0, 100_001)
+        samples = bk.AlphaSamples(t, np.exp(-t) + 0j)
+        basis, dt = _hankel_basis(samples)
+        assert basis.shape == (257, 256)
+        assert dt == pytest.approx(10.0 / 511)
+        ladder = bk.incremental_fit(samples, 2)
+        assert len(ladder) == 1 and ladder[0].rms_residual < 1e-12
+        assert ladder[0].series.omega[0] == pytest.approx(-1.0, abs=1e-9)
+
     def test_damped_sine_from_zero(self):
         # alpha(0) = 0: two conjugate terms, exact at K = 2
         t = np.linspace(0.0, 10.0, 201)
