@@ -13,7 +13,7 @@ from .pade import PadeParams, Statistics, pade_bose_approx, pade_parameters
 from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
                   alpha_series_gldd, alpha_series_mt, alpha_series_tgldd,
                   converge_series, polygamma, spectral_density_from_series)
-from .fit import (FitConfig, FitResult, ScalingTransform, fit_exponentials,
+from .fit import (FitResult, ScalingTransform, fit_exponentials,
                   incremental_fit, objective_jacobian, objective_residuals,
                   starting_values_pade)
 from .influence import (EtaGrid, eta_oracle, eta_strang, eta_trotter,
@@ -32,7 +32,7 @@ __all__ = [
     "AlphaSamples", "alpha_powerlaw_closed_form", "alpha_quadrature",
     "alpha_series_gldd", "alpha_series_mt", "alpha_series_tgldd",
     "converge_series", "polygamma", "spectral_density_from_series",
-    "FitConfig", "FitResult", "ScalingTransform", "fit_exponentials",
+    "FitResult", "ScalingTransform", "fit_exponentials",
     "incremental_fit", "objective_jacobian", "objective_residuals",
     "starting_values_pade",
     "EtaGrid", "eta_oracle", "eta_strang", "eta_trotter", "quapi_correct",

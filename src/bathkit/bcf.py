@@ -32,7 +32,7 @@ from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
                     ExponentialSeries, ThermalContext, _fill_blocks,
-                    _lorentzian_sum, series_eval)
+                    series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -139,10 +139,14 @@ def _alpha_scale(J, ctx):
     exact alpha(0) diverges logarithmically.
     """
     g, _ = J.quadrature_integrands(ctx)
-    w_hi = 50.0 * max(J.frequency_scale(), 1.0 / ctx.beta_hbar)
+    peak = J.frequency_scale()
+    w_hi = 50.0 * max(peak, 1.0 / ctx.beta_hbar)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        value, _ = _scipy_quad(g, 0.0, w_hi, limit=200)
+        # a breakpoint at J's own scale, which lies inside: a hot bath
+        # (1/(beta*hbar) >> peak) puts it so far below w_hi that QUADPACK's
+        # panels would miss it
+        value, _ = _scipy_quad(g, 0.0, w_hi, limit=200, points=(peak,))
     return max(abs(value), np.finfo(float).tiny)
 
 
@@ -262,20 +266,26 @@ def _pole_series(terms, ctx, n_pade, statistics, bose):
             "rate gamma; perturb gamma by ~1e-9 relative and retry")
 
     h = 2 * lam.size
+    centers, gammas = np.concatenate([shift, -shift]), np.tile(gamma, 2)
     omega = np.concatenate([-gamma, -gamma, -xi]).astype(complex)
-    omega.imag[:h] = np.concatenate([shift, -shift])
+    omega.imag[:h] = centers
     z = 1j * omega
     zl = z[:h, None]
+    u = z[h:, None] - centers
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        frac = c * zl / (zl**2 + xi**2)
+        # z^2 + xi^2 and gamma^2 + u^2 as products of conjugate factors:
+        # as sums of squares they cancel where a pole nears a rate xi_k
+        frac = c * zl / ((zl + 1j * xi) * (zl - 1j * xi))
         if bose:
             s = 2.0 / ctx.beta_hbar + z[:h] + np.sum(frac * zl, axis=1)
             res = c / 2.0 * z[h:]
         else:
             s = 1.0 + np.sum(frac, axis=1)
             res = c / 2.0
+        lorentz = np.sum(np.tile(lam * gamma, 2)
+                         / ((gammas + 1j * u) * (gammas - 1j * u)), axis=1)
         p = np.concatenate([np.tile(lam, 2) * s / (2.0 * np.pi),
-                            -1j * res * _lorentzian_sum(terms, z[h:]) / np.pi])
+                            -1j * res * lorentz / np.pi])
     if not (np.isfinite(p).all() and np.isfinite(omega).all()):
         raise RangeError(
             "series weights or rates overflow the float range at "
@@ -472,7 +482,7 @@ def spectral_density_from_series(series: ExponentialSeries,
 # convergence driver
 # ---------------------------------------------------------------------------
 
-_N_SCHEDULE_BASE = (1, 2, 4, 8, 16, 32, 64, 128)
+_N_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 200)
 
 
 def _series_builder_for(J):
@@ -496,9 +506,9 @@ def default_time_grid(ctx: ThermalContext, points: int = 201):
 
 
 def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
-                    t_grid=None, n_cap: int = 200) -> ExponentialSeries:
-    """Increase the approximant order (1, 2, 4, 8, ...) until the series
-    matches quadrature on ``t_grid`` to relative sup-norm ``tol``.
+                    t_grid=None) -> ExponentialSeries:
+    """Increase the approximant order (1, 2, 4, ..., 128, 200) until the
+    series matches quadrature on ``t_grid`` to relative sup-norm ``tol``.
 
     Grid points where the quadrature reference itself fails to converge
     (e.g. t = 0 for densities with a logarithmically divergent alpha(0)) are
@@ -535,11 +545,10 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     ts = t_grid[mask]
     ref_norm = np.max(np.abs(refs))
 
-    schedule = [n for n in _N_SCHEDULE_BASE if n < n_cap] + [n_cap]
     best_err = math.inf
     best_series = None
     stalls = 0
-    for n in schedule:
+    for n in _N_SCHEDULE:
         series = builder(J, ctx, n)
         if ref_norm == 0:  # checked after a build, whose range errors win
             raise ConvergenceError(

@@ -160,6 +160,7 @@ def _read_input_columns(path, min_cols, field):
 # ---------------------------------------------------------------------------
 
 _FAMILIES = ("gldd", "tgldd", "mt", "powerlaw", "tabulated")
+_TASK_KEYS = ("tmax", "points", "tolerance", "kmax")
 
 
 class ProblemSpec:
@@ -192,6 +193,10 @@ class ProblemSpec:
             density = _parse_density(parser["spectral_density"], path)
 
         task = dict(parser["task"]) if "task" in parser else {}
+        for key in task:
+            if key not in _TASK_KEYS:
+                raise InvalidInputError(
+                    f"task.{key}: unknown key; expected one of {_TASK_KEYS}")
         return cls(ctx, density, task)
 
     def require_density(self):
@@ -418,23 +423,22 @@ def _cmd_fit(args):
     if (args.spec is None) == (args.alpha_file is None):
         raise InvalidInputError(
             "fit: exactly one of --spec and --alpha-file is required")
+    kmax = args.kmax
     if args.spec is not None:
         spec = ProblemSpec.load(args.spec)
         t = spec.time_grid(default_tmax=5.0 * spec.ctx.beta_hbar)
         fn, used = _alpha_function(spec, "auto")
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
-        k = args.k if args.k is not None else spec.task_int("k", 1)
-        kmax = args.kmax if args.kmax is not None \
-            else spec.task_int("kmax", 0) or None
+        if kmax is None:
+            kmax = spec.task_int("kmax", 1)
     else:
         data = _read_input_columns(args.alpha_file, 2, "alpha-file")
         t = data[:, 0]
         alpha = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
-        if args.k is None and args.kmax is None:
-            raise InvalidInputError("fit: --k or --kmax is required")
-        k = args.k if args.k is not None else 1
-        kmax = args.kmax
+        if kmax is None:
+            raise InvalidInputError(
+                "fit: --kmax is required with --alpha-file")
     if alpha[0].imag != 0.0:
         # the exact transform has no sine term at t = 0; a residual
         # imaginary part (a series gives the t -> 0+ limit) is
@@ -450,10 +454,7 @@ def _cmd_fit(args):
         weights = wdata[:, -1]
     samples = bcf.AlphaSamples(t, alpha, weights)
 
-    terms = kmax if kmax else k  # --k is unused when the ladder has a kmax
-    if terms < 1:
-        raise InvalidInputError(f"K must be >= 1, got {terms}")
-    ladder = fitmod.incremental_fit(samples, terms)
+    ladder = fitmod.incremental_fit(samples, kmax)
     best = min(ladder, key=lambda r: r.rms_residual)
     unfitted = [r.series.count for r in ladder if r.iterations == 0]
     if unfitted:
@@ -568,10 +569,11 @@ def _build_parser():
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_alpha)
 
-    p = sub.add_parser("fit", help="fit sampled alpha by exponentials")
+    # no option prefixes, so that --k is not read as --kmax
+    p = sub.add_parser("fit", help="fit sampled alpha by exponentials",
+                       allow_abbrev=False)
     p.add_argument("--spec")
     p.add_argument("--alpha-file")
-    p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int)
     p.add_argument("--weights")
     p.add_argument("--out")

@@ -11,7 +11,9 @@ that takes bounds) fits only the 2K real rate parameters, with Kaufman's
 Jacobian (BIT 15, 49 (1975)).  K is the start series' own, and the start
 gives only its rates.  :func:`incremental_fit` grows the term count one at a
 time and starts each K from the subspace (ESPRIT) estimate of K rates, read
-from one SVD of the Hankel matrix of the samples.
+from one SVD of the Hankel matrix of the samples.  The term count is the
+only setting; the solver's tolerances, its evaluation cap, the decay margin
+and the ladder's stop are the module constants below.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import InvalidInputError
 from .model import _EXP_CLAMP, ExponentialSeries, ThermalContext, series_eval
 
 __all__ = [
-    "FitConfig",
     "FitResult",
     "ScalingTransform",
     "objective_residuals",
@@ -36,29 +37,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Solver and ladder settings.
-
-    ``epsilon`` is the decay-constraint margin on the scaled problem, i.e.
-    Re(omega * t_end) <= -epsilon.  The bound is hard, so every fit runs
-    SciPy's bounded trust-region method ``"trf"`` over the rates.
-    ``parameter_tolerance`` is its ``xtol``; its ``ftol`` (1e-12) and
-    ``gtol`` (1e-14) are fixed.  ``residual_tolerance`` is the absolute
-    scaled RMS at which :func:`incremental_fit` stops adding terms.  The
-    term count is not a setting: it is the start series' own.
-    """
-
-    max_iterations: int = 2000
-    residual_tolerance: float = 1e-12
-    parameter_tolerance: float = 1e-14
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise InvalidInputError("epsilon must be positive")
-        if not (self.residual_tolerance > 0 and self.parameter_tolerance > 0):
-            raise InvalidInputError("tolerances must be positive")
+# the decay margin Re(omega * t_end) <= -_EPSILON on the scaled problem, a
+# hard bound, so every fit runs SciPy's bounded trust-region method "trf"
+_EPSILON = 1e-8
+# trf's xtol and evaluation cap (max_nfev); its ftol and gtol are fixed at
+# the call
+_XTOL = 1e-14
+_MAX_EVALUATIONS = 2000
+# the absolute scaled RMS at which incremental_fit stops adding terms
+_STOP_RMS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -245,30 +232,29 @@ class _Projection:
         return np.stack([m.real, m.imag], axis=1).reshape(-1, m.shape[1])
 
 
-def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
-                     config: FitConfig) -> FitResult:
+def fit_exponentials(samples: AlphaSamples,
+                     start: ExponentialSeries) -> FitResult:
     """Bounded trust-region least squares over the rates of ``start``, with
     as many terms as ``start`` has; its weights are not used.
 
     The problem is rescaled (t to [0, 1], amplitudes to order 1), infeasible
-    start rates are projected onto Re(omega') <= -epsilon before the first
+    start rates are projected onto Re(omega') <= -1e-8 before the first
     iteration, the weights are the linear least-squares optimum for the
-    final rates, and hitting the iteration cap yields converged=False rather
-    than an exception.
+    final rates, and hitting the cap of 2000 evaluations yields
+    converged=False rather than an exception.
     """
     from scipy.optimize import least_squares
     transform = ScalingTransform.for_samples(samples)
     scaled = transform.scale_samples(samples)
     omega = transform.scale_series(start).omega
-    ub = np.tile([-config.epsilon, np.inf], start.count)  # decaying only
+    ub = np.tile([-_EPSILON, np.inf], start.count)  # decaying only
     theta0 = np.minimum(omega.view(float), ub)
     problem = _Projection(scaled)
 
     result = least_squares(
         problem.residuals, theta0, jac=problem.jacobian,
         bounds=(-np.inf, ub), method="trf", ftol=1e-12,
-        xtol=config.parameter_tolerance, gtol=1e-14,
-        max_nfev=config.max_iterations)
+        xtol=_XTOL, gtol=1e-14, max_nfev=_MAX_EVALUATIONS)
 
     # one step of iterative refinement on the weights, so that an exact fit
     # reaches the rounding floor of the residual, not of the SVD solve
@@ -283,8 +269,7 @@ def fit_exponentials(samples: AlphaSamples, start: ExponentialSeries,
                      converged=bool(result.status > 0))
 
 
-def incremental_fit(samples: AlphaSamples, K_max: int,
-                    config: FitConfig = None) -> list:
+def incremental_fit(samples: AlphaSamples, K_max: int) -> list:
     """Grow the term count from 1 to ``K_max``, fitting each K afresh.
 
     Every rung starts from the subspace estimate of its K rates, all read
@@ -294,14 +279,11 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     beyond that (its ``iterations`` is 0), or one whose fit ends above the
     previous RMS, is the previous series padded with a zero-weight copy of
     its last term, at the previous RMS, so the RMS never rises along the
-    ladder.  Stops early once the scaled RMS drops below
-    ``config.residual_tolerance``.  Results for all attempted K are
-    returned.
+    ladder.  Stops early once the scaled RMS drops below 1e-12.  Results
+    for all attempted K are returned.
     """
     if K_max < 1:
         raise InvalidInputError(f"K_max must be >= 1, got {K_max}")
-    if config is None:
-        config = FitConfig()
     if not np.any(samples.alpha):
         raise InvalidInputError("alpha is 0 at every sample: nothing to fit")
 
@@ -310,8 +292,7 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
     for K in range(1, K_max + 1):
         fit = None
         if K < basis.shape[0]:  # the shift of K vectors needs K + 1 rows
-            fit = fit_exponentials(samples, _subspace_start(basis, dt, K),
-                                   config)
+            fit = fit_exponentials(samples, _subspace_start(basis, dt, K))
         if fit is None or (results
                            and fit.rms_residual > results[-1].rms_residual):
             # a refit from the padded series moves the two equal rates
@@ -325,6 +306,6 @@ def incremental_fit(samples: AlphaSamples, K_max: int,
                 iterations=fit.iterations if fit else 0,
                 converged=prev.converged)
         results.append(fit)
-        if fit.rms_residual < config.residual_tolerance:
+        if fit.rms_residual < _STOP_RMS:
             break
     return results

@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bathkit as bk
 from bathkit import bcf
@@ -231,6 +231,19 @@ class TestAlphaQuadrature:
     def test_negative_time_rejected(self):
         with pytest.raises(bk.InvalidInputError):
             bk.alpha_quadrature(DRUDE, CTX, -1.0)
+
+    def test_hot_bath_against_series(self):
+        # at 1/(beta*hbar) = 1e5 the tolerance proxy integrates over
+        # [0, 5e6] and must find J's peak near 2.5: missed, it reads 1e-10
+        # where |alpha| ~ 1e4, and the cosine pass cannot meet the
+        # tolerance it sets
+        J = bk.GLDD([bk.LorentzianTerm(0.5, 1.0, 0.5),
+                     bk.LorentzianTerm(-0.25, 2.0, 0.5)])
+        ctx = bk.ThermalContext(beta=1e-5)
+        series = bk.alpha_series_gldd(J, ctx, 64)
+        for t in (0.1, 1.0):
+            assert bk.alpha_quadrature(J, ctx, t) \
+                == pytest.approx(complex(series(t)), rel=1e-12)
 
     def test_gldd_t0_reports_accuracy_failure(self):
         # alpha(0) of a Lorentzian-tailed density diverges logarithmically
@@ -469,9 +482,16 @@ class TestSeriesBuilders:
         assert np.max(np.abs(series(t) - exact)) \
             <= 1e-12 * np.sum(np.abs(series.p))
 
+    # near-coincidences of a pole rate gamma with an approximant rate
+    # (4.5 and xi_2 = 4.4979, 2.0391 and xi_1 = 2.0409), where the weights
+    # formed from sums of squares lost 3 digits
     @settings(max_examples=60, deadline=None)
     @given(terms=LORENTZIAN_TERMS, beta=st.floats(0.2, 4.0),
            n_pade=st.integers(0, 128))
+    @example(terms=[bk.LorentzianTerm(1.0, 4.5, 0.0)], beta=2.796875,
+             n_pade=4)
+    @example(terms=[bk.LorentzianTerm(1.0, 2.0390625, 0.0)],
+             beta=3.08984375, n_pade=2)
     def test_mt_is_the_published_table(self, terms, beta, n_pade):
         mpmath = pytest.importorskip("mpmath")
         ctx = bk.ThermalContext(beta=beta)
@@ -642,6 +662,24 @@ class TestInverseTransform:
         s = bk.ExponentialSeries([1.0], [0.5])
         with pytest.raises(bk.InvalidInputError):
             bk.spectral_density_from_series(s, CTX, 1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(terms=st.lists(
+               st.builds(bk.LorentzianTerm, st.floats(0.05, 3.0),
+                         st.floats(0.05, 5.0),
+                         st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+               min_size=1, max_size=3),
+           beta=st.floats(0.2, 4.0), family=st.sampled_from(["gldd", "tgldd"]))
+    def test_series_round_trip(self, terms, beta, family):
+        # the frequency-domain check of a series: the inverse map of the
+        # order-32 series is J itself (400 draws stayed below 1e-7 max|J|)
+        builder, density = {"gldd": (bk.alpha_series_gldd, bk.GLDD),
+                            "tgldd": (bk.alpha_series_tgldd, bk.TGLDD)}[family]
+        J, ctx = density(terms), bk.ThermalContext(beta=beta)
+        w = np.linspace(0.0, 20.0 * J.frequency_scale(), 201)
+        exact = bk.eval_spectral_density(J, w, ctx)
+        back = bk.spectral_density_from_series(builder(J, ctx, 32), ctx, w)
+        assert np.max(np.abs(back - exact)) <= 1e-6 * np.max(np.abs(exact))
 
 
 class TestConvergeSeries:

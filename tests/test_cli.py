@@ -241,7 +241,7 @@ class TestFit:
     def test_single_term_recovery(self, tmp_path, capsys):
         path = self._alpha_file(tmp_path)
         code, out, err = run_cli(
-            ["fit", "--alpha-file", path, "--k", "1"], capsys)
+            ["fit", "--alpha-file", path, "--kmax", "1"], capsys)
         assert code == 0
         assert "note" not in err and "Warning" not in err
         _, body = parse_table(out)
@@ -325,27 +325,36 @@ class TestFit:
         assert out == out_projected
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
-        code, _, err = run_cli(["fit", "--k", "1"], capsys)
+        code, _, err = run_cli(["fit", "--kmax", "1"], capsys)
         assert code == 3
         assert "spec" in err
 
-    # a zero --kmax means no ladder, so --k is the count used
-    @pytest.mark.parametrize("extra", [[], ["--kmax", "0"]])
-    def test_term_count_below_one_rejected(self, tmp_path, capsys, extra):
+    def test_term_count_below_one_rejected(self, tmp_path, capsys):
         path = self._alpha_file(tmp_path)
         code, out, err = run_cli(
-            ["fit", "--alpha-file", path, "--k", "0"] + extra, capsys)
+            ["fit", "--alpha-file", path, "--kmax", "0"], capsys)
         assert code == 3 and out == ""
-        assert "K must be >= 1, got 0" in err
+        assert "K_max must be >= 1, got 0" in err
 
-    def test_kmax_makes_k_unused(self, tmp_path, capsys):
+    def test_kmax_is_the_only_term_count(self, tmp_path, capsys):
         path = self._alpha_file(tmp_path)
-        code, out, err = run_cli(
-            ["fit", "--alpha-file", path, "--k", "0", "--kmax", "2"], capsys)
-        assert code == 0
-        assert "best: K=" in err
-        _, body = parse_table(out)
-        assert 1 <= len(body) <= 2
+        code, out, err = run_cli(["fit", "--alpha-file", path], capsys)
+        assert code == 3 and out == ""
+        assert "--kmax is required" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--alpha-file", path, "--k", "1"])
+        assert exc.value.code == 2
+
+    # a key left from an earlier grammar would otherwise be ignored: a
+    # spec with k = 3 fitted K = 1
+    @pytest.mark.parametrize("line,field", [("k = 3", "task.k"),
+                                            ("seed = 3", "task.seed")])
+    def test_unknown_task_key_names_field(self, tmp_path, capsys, line,
+                                          field):
+        spec = write_spec(tmp_path, DRUDE_SPEC + line + "\n")
+        code, out, err = run_cli(["fit", "--spec", spec], capsys)
+        assert code == 3 and out == ""
+        assert f"invalid input: {field}: unknown key" in err
 
 
 class TestJw:

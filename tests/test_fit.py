@@ -149,7 +149,7 @@ class TestStartingValuesPade:
         samples = bk.AlphaSamples(t, alpha)
         initial = objective_residuals(_pack(start), samples)
         initial_rms = np.sqrt(np.sum(initial**2) / t.size)
-        result = bk.fit_exponentials(samples, start, bk.FitConfig())
+        result = bk.fit_exponentials(samples, start)
         # rms_residual is on the scaled problem; compare in scaled units
         scale = np.max(np.abs(alpha))
         assert result.rms_residual <= initial_rms / scale + 1e-12
@@ -219,7 +219,7 @@ class TestFitExponentials:
     def test_single_term_round_trip(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         start = bk.ExponentialSeries([0.9], [-1.2])
-        result = bk.fit_exponentials(samples, start, bk.FitConfig())
+        result = bk.fit_exponentials(samples, start)
         assert result.rms_residual <= 1e-8
         assert result.series.p[0] == pytest.approx(1.0, abs=1e-6)
         assert result.series.omega[0] == pytest.approx(-1.0, abs=1e-6)
@@ -229,23 +229,21 @@ class TestFitExponentials:
         samples = make_samples(truth)
         start = bk.ExponentialSeries([0.6 + 0.1j, 0.4],
                                      [-0.4 + 2.8j, -1.5 - 0.8j])
-        result = bk.fit_exponentials(samples, start, bk.FitConfig())
+        result = bk.fit_exponentials(samples, start)
         assert result.rms_residual <= 1e-6
 
     def test_infeasible_start_projected(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         start = bk.ExponentialSeries([0.9], [0.5])  # growing: infeasible
-        result = bk.fit_exponentials(samples, start, bk.FitConfig())
+        result = bk.fit_exponentials(samples, start)
         assert result.rms_residual <= 1e-8
         assert result.series.omega[0].real < 0
 
     def test_constraint_respected(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
-        config = bk.FitConfig()
         result = bk.fit_exponentials(samples,
-                                     bk.ExponentialSeries([0.9], [-1.2]),
-                                     config)
-        eps_unscaled = config.epsilon / samples.t[-1]
+                                     bk.ExponentialSeries([0.9], [-1.2]))
+        eps_unscaled = fitmod._EPSILON / samples.t[-1]
         assert result.series.omega[0].real <= -eps_unscaled * (1 - 1e-12)
 
     def test_one_term_negative_weight_recovered(self):
@@ -253,14 +251,14 @@ class TestFitExponentials:
         # negative one-term weight is found from a start of either sign
         samples = make_samples(bk.ExponentialSeries([-1.0], [-1.0]))
         one = bk.fit_exponentials(
-            samples, bk.ExponentialSeries([0.9], [-1.2]), bk.FitConfig())
+            samples, bk.ExponentialSeries([0.9], [-1.2]))
         assert one.rms_residual <= 1e-8
         assert one.series.p[0] == pytest.approx(-1.0, abs=1e-6)
 
         truth = bk.ExponentialSeries([-0.5, 1.0], [-0.5, -2.0])
         two = bk.fit_exponentials(
             make_samples(truth),
-            bk.ExponentialSeries([-0.4, 0.9], [-0.6, -1.8]), bk.FitConfig())
+            bk.ExponentialSeries([-0.4, 0.9], [-0.6, -1.8]))
         assert two.series.p[0].real == pytest.approx(-0.5, abs=1e-6)
         assert two.rms_residual <= 1e-6
 
@@ -268,8 +266,7 @@ class TestFitExponentials:
         samples = make_samples(bk.ExponentialSeries([0.7, 0.3],
                                                     [-0.5 + 3j, -2.0 - 1j]))
         omega = [-0.4 + 2.8j, -1.5 - 0.8j]
-        a, b = (bk.fit_exponentials(samples, bk.ExponentialSeries(p, omega),
-                                    bk.FitConfig())
+        a, b = (bk.fit_exponentials(samples, bk.ExponentialSeries(p, omega))
                 for p in ([0.6 + 0.1j, 0.4], [-5.0, 0.0]))
         assert np.array_equal(a.series.p, b.series.p)
         assert np.array_equal(a.series.omega, b.series.omega)
@@ -278,8 +275,7 @@ class TestFitExponentials:
         samples = make_samples(bk.ExponentialSeries([0.7, 0.3],
                                                     [-0.5 + 3j, -2.0 - 1j]))
         result = bk.fit_exponentials(
-            samples, bk.ExponentialSeries([1.0], [-0.4 + 2.8j]),
-            bk.FitConfig())
+            samples, bk.ExponentialSeries([1.0], [-0.4 + 2.8j]))
         res = objective_residuals(_pack(result.series), samples)
         actual = np.sqrt(np.sum(res**2) / samples.t.size) \
             / np.max(np.abs(samples.alpha))
@@ -289,16 +285,15 @@ class TestFitExponentials:
     @given(case=decaying_truths())
     def test_recovers_truth_from_perturbed_rates(self, case):
         truth, start = case
-        result = bk.fit_exponentials(make_samples(truth), start,
-                                     bk.FitConfig())
+        result = bk.fit_exponentials(make_samples(truth), start)
         assert result.rms_residual <= 1e-8
 
-    def test_iteration_cap_gives_nonconverged(self):
+    def test_iteration_cap_gives_nonconverged(self, monkeypatch):
+        monkeypatch.setattr(fitmod, "_MAX_EVALUATIONS", 2)
         truth = bk.ExponentialSeries([0.7, 0.3], [-0.5 + 3j, -2.0 - 1j])
         samples = make_samples(truth)
         start = bk.ExponentialSeries([0.1, 0.1], [-3.0, -0.1 + 1j])
-        result = bk.fit_exponentials(samples, start,
-                                     bk.FitConfig(max_iterations=2))
+        result = bk.fit_exponentials(samples, start)
         assert not result.converged
 
 
@@ -319,8 +314,7 @@ PINNED_LADDERS = {
 class TestIncrementalFit:
     @pytest.mark.parametrize("case", sorted(PINNED_LADDERS))
     def test_hard_power_law_ladders_no_worse(self, case):
-        ladder = bk.incremental_fit(power_law_samples(*case), 5,
-                                    bk.FitConfig())
+        ladder = bk.incremental_fit(power_law_samples(*case), 5)
         rms = [r.rms_residual for r in ladder]
         assert len(rms) == 5
         assert all(new <= old * (1 + 1e-9)
@@ -334,16 +328,16 @@ class TestIncrementalFit:
         # deficient basis
         fit_exponentials, counts = fitmod.fit_exponentials, []
 
-        def second_rung_loses(samples, start, config):
+        def second_rung_loses(samples, start):
             counts.append(start.count)
-            result = fit_exponentials(samples, start, config)
+            result = fit_exponentials(samples, start)
             if start.count == 2:
                 return dataclasses.replace(result, rms_residual=np.inf)
             return result
 
         monkeypatch.setattr(fitmod, "fit_exponentials", second_rung_loses)
         samples = power_law_samples(1.0, 1.36)
-        first, padded, third = bk.incremental_fit(samples, 3, bk.FitConfig())
+        first, padded, third = bk.incremental_fit(samples, 3)
         assert counts == [1, 2, 3]
         prev = first.series
         assert np.array_equal(padded.series.p, np.append(prev.p, 0.0))
@@ -392,10 +386,8 @@ class TestIncrementalFit:
 
     def test_kmax_one_equals_single_fit(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
-        config = bk.FitConfig()
-        ladder = bk.incremental_fit(samples, 1, config)
-        single = bk.fit_exponentials(samples, subspace_start(samples, 1),
-                                     config)
+        ladder = bk.incremental_fit(samples, 1)
+        single = bk.fit_exponentials(samples, subspace_start(samples, 1))
         assert len(ladder) == 1
         assert np.array_equal(ladder[0].series.p, single.series.p)
         assert np.array_equal(ladder[0].series.omega, single.series.omega)
@@ -403,7 +395,7 @@ class TestIncrementalFit:
     def test_invalid_kmax(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         with pytest.raises(bk.InvalidInputError):
-            bk.incremental_fit(samples, 0, bk.FitConfig())
+            bk.incremental_fit(samples, 0)
 
     def test_two_samples_one_term(self):
         t = np.array([0.0, 1.0])
