@@ -364,7 +364,7 @@ def _alpha_function(spec, method):
                        if _route_error(J, m) is None), "quadrature")
     elif (error := _route_error(J, method)) is not None:
         raise InvalidInputError(
-            f"task.method: {method!r} does not apply: {error}")
+            f"--method: {method!r} does not apply: {error}")
 
     if method == "series":
         try:
@@ -383,7 +383,7 @@ def _alpha_function(spec, method):
         return closed, "closed"
     if method == "quadrature":
         return _quadrature_function(J, ctx), "quadrature"
-    raise InvalidInputError(f"task.method: unknown method {method!r}")
+    raise InvalidInputError(f"--method: unknown method {method!r}")
 
 
 def _pointwise(alpha_at):
@@ -423,22 +423,25 @@ def _cmd_fit(args):
     if (args.spec is None) == (args.alpha_file is None):
         raise InvalidInputError(
             "fit: exactly one of --spec and --alpha-file is required")
-    kmax = args.kmax
+    kmax, field = args.kmax, "--kmax"
     if args.spec is not None:
         spec = ProblemSpec.load(args.spec)
+        if kmax is None:
+            kmax, field = spec.task_int("kmax", 1), "task.kmax"
+    elif kmax is None:
+        raise InvalidInputError("fit: --kmax is required with --alpha-file")
+    # checked before alpha is sampled or read
+    if kmax < 1:
+        raise InvalidInputError(f"{field}: K_max must be >= 1, got {kmax}")
+    if args.spec is not None:
         t = spec.time_grid(default_tmax=5.0 * spec.ctx.beta_hbar)
         fn, used = _alpha_function(spec, "auto")
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
-        if kmax is None:
-            kmax = spec.task_int("kmax", 1)
     else:
         data = _read_input_columns(args.alpha_file, 2, "alpha-file")
         t = data[:, 0]
         alpha = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
-        if kmax is None:
-            raise InvalidInputError(
-                "fit: --kmax is required with --alpha-file")
     if alpha[0].imag != 0.0:
         # the exact transform has no sine term at t = 0; a residual
         # imaginary part (a series gives the t -> 0+ limit) is

@@ -242,7 +242,8 @@ def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> flo
             ) from exc
     if isinstance(J, Tabulated):
         return _tabulated_lambda(J.omega, J.j)
-    integrand = _over_omega(J.scalar(ctx), J.j_over_omega_limit(ctx))
+    _, j = J.quadrature_integrands(ctx)
+    integrand = _over_omega(j, J.j_over_omega_limit(ctx))
     return _quad(integrand, 0.0, J.omega_max, epsabs=1e-12)
 
 

@@ -205,7 +205,7 @@ class TestAlpha:
             ["alpha", "--spec", spec, "--tmax", "1", "--points", "3",
              "--method", method], capsys)
         assert code == 3
-        assert "task.method" in err
+        assert "invalid input: --method: " in err and "task." not in err
         assert out == ""
 
     def test_missing_section_names_field(self, tmp_path, capsys):
@@ -329,12 +329,29 @@ class TestFit:
         assert code == 3
         assert "spec" in err
 
-    def test_term_count_below_one_rejected(self, tmp_path, capsys):
+    def test_term_count_below_one_rejected(self, tmp_path, capsys,
+                                           monkeypatch):
         path = self._alpha_file(tmp_path)
+        calls = count_quadratures(monkeypatch)
         code, out, err = run_cli(
             ["fit", "--alpha-file", path, "--kmax", "0"], capsys)
-        assert code == 3 and out == ""
-        assert "K_max must be >= 1, got 0" in err
+        assert code == 3 and out == "" and calls == []
+        assert "invalid input: --kmax: K_max must be >= 1, got 0" in err
+
+    # the term count is checked before alpha is sampled (here by 101
+    # quadratures, as the MT series stalls)
+    @pytest.mark.parametrize("line,flags,field", [
+        ("kmax = 0", [], "task.kmax"),
+        ("kmax = 2", ["--kmax", "0"], "--kmax")])
+    def test_spec_term_count_checked_before_sampling(
+            self, tmp_path, capsys, monkeypatch, line, flags, field):
+        spec = write_spec(tmp_path, MT_SPEC.replace(
+            "points = 201", "points = 101\n" + line))
+        calls = count_quadratures(monkeypatch)
+        code, out, err = run_cli(["fit", "--spec", spec] + flags, capsys)
+        assert code == 3 and out == "" and calls == []
+        assert f"invalid input: {field}: K_max must be >= 1, got 0" in err
+        assert "sampled by method" not in err
 
     def test_kmax_is_the_only_term_count(self, tmp_path, capsys):
         path = self._alpha_file(tmp_path)

@@ -192,6 +192,25 @@ class TestReorganizationEnergy:
         value = bk.reorganization_energy(J, bk.ThermalContext(beta=2.0))
         assert np.isfinite(value) and value > 0
 
+    @pytest.mark.parametrize("beta", [0.4, 3.0])
+    def test_tgldd_against_extended_precision(self, beta):
+        # int_0^inf tanh(beta w/2) L(w) / (pi w) dw, L the Lorentzian sum,
+        # one term shifted to omega_tilde = 1.5
+        mpmath = pytest.importorskip("mpmath")
+        terms = [(0.6, 1.0, 0.0), (0.4, 0.5, 1.5)]
+        J = bk.TGLDD([bk.LorentzianTerm(*term) for term in terms])
+
+        def integrand(w):
+            lorentzian = sum(lam * gam / (gam**2 + (w - w0) ** 2)
+                             + lam * gam / (gam**2 + (w + w0) ** 2)
+                             for lam, gam, w0 in terms)
+            return mpmath.tanh(beta * w / 2) * lorentzian / (mpmath.pi * w)
+
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(integrand, [0, 1, 1.5, 2, 10, mpmath.inf]))
+        got = bk.reorganization_energy(J, bk.ThermalContext(beta=beta))
+        assert got == pytest.approx(ref, rel=1e-10)
+
     def test_tabulated(self):
         # triangle density: integral of J/w over [0, 2] with J = w on [0,1],
         # 2 - w on [1, 2] gives 1 + 2 ln 2 - 1 = 2 ln 2

@@ -1,7 +1,7 @@
 """Tests for the core data model: contexts, spectral densities, series."""
 
+import gc
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -143,10 +143,13 @@ SCALAR_POINTS = np.concatenate((
 
 
 class TestScalarClosure:
+    """The ``j`` of a quadrature pair, the pure-float J(w) that the
+    quadratures and the TGLDD reorganization integrand call."""
+
     @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
     def test_matches_array_evaluator(self, name):
         J = SCALAR_DENSITIES[name]
-        j = J.scalar(SCALAR_CTX)
+        _, j = J.quadrature_integrands(SCALAR_CTX)
         got = [j(float(w)) for w in SCALAR_POINTS]
         assert all(type(v) is float for v in got)
         ref = bk.eval_spectral_density(J, SCALAR_POINTS, SCALAR_CTX)
@@ -154,7 +157,7 @@ class TestScalarClosure:
 
     def test_tgldd_needs_context(self):
         with pytest.raises(bk.InvalidInputError):
-            SCALAR_DENSITIES["tgldd"].scalar()
+            SCALAR_DENSITIES["tgldd"].quadrature_integrands(None)
 
 
 # NumPy's tanh, exp and power, which the array reference calls, differ from
@@ -205,50 +208,58 @@ class TestQuadratureIntegrands:
             assert limit == pytest.approx(slope[1], rel=1e-9, abs=1e-12)
 
 
-def _counting_scalar(J, calls):
-    """A ``scalar`` method for J's family whose closures record each w."""
-    original = type(J).scalar
-
-    def scalar(self, ctx=None):
-        j = original(self, ctx)
-
-        def counted(w):
-            calls.append(w)
-            return j(w)
-        return counted
-
-    return scalar
+def _table(j):
+    """The node table whose ``__getitem__`` is the pair's ``j``."""
+    return j.__self__
 
 
 class TestNodeTable:
     @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
     @settings(max_examples=100, deadline=None)
     @given(w=st.one_of(st.sampled_from([0.0, 1e-12, 1e-9]),
-                       st.floats(1e-6, 1e3)),
-           re_first=st.booleans())
-    def test_j_is_scalar_bit_for_bit(self, name, w, re_first):
+                       st.floats(1e-6, 1e3)))
+    def test_j_is_scalar_bit_for_bit(self, name, w):
+        # a miss runs re at w and returns the J it stored, with the bits a
+        # hit reads after the quadrature called re there; w = 0 included
         J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
-        re, j = J.quadrature_integrands(ctx)
-        if re_first:
-            re(w)
-        got = j(w)
+        _, miss = J.quadrature_integrands(ctx)
+        re, hit = J.quadrature_integrands(ctx)
+        re(w)
+        assert w not in _table(miss) and w in _table(hit)
+        got = miss(w)
+        assert w in _table(miss)
         assert type(got) is float
-        assert got.hex() == J.scalar(ctx)(w).hex()
+        assert got.hex() == hit(w).hex()
 
     @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
     @settings(max_examples=50, deadline=None)
     @given(w=st.floats(1e-6, 1e3))
     def test_pairs_share_no_table(self, name, w):
         J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
-        calls = []
-        with mock.patch.object(type(J), "scalar", _counting_scalar(J, calls)):
-            re1, j1 = J.quadrature_integrands(ctx)
-            re2, j2 = J.quadrature_integrands(ctx)
+        re1, j1 = J.quadrature_integrands(ctx)
+        re2, j2 = J.quadrature_integrands(ctx)
         re1(w)
-        j1(w)
-        assert calls == []  # the first pair's table holds w
+        assert w in _table(j1)  # the first pair's table holds w
+        assert w not in _table(j2)  # the second pair's does not
         j2(w)
-        assert calls == [w]  # the second pair's does not
+        assert list(_table(j1)) == list(_table(j2)) == [w]
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    def test_pair_is_freed_without_the_collector(self, name):
+        # a reference cycle would leave each pair for the garbage collector,
+        # which slowed the quadrature loop
+        J, ctx = SCALAR_DENSITIES[name], SCALAR_CTX
+        gc.collect()
+        gc.disable()
+        try:
+            for w in (0.5, 1.5):
+                re, j = J.quadrature_integrands(ctx)
+                re(w)
+                j(2.0 * w)  # a miss
+            del re, j
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestBoseEinstein:
