@@ -14,8 +14,7 @@ from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
                   alpha_series_gldd, alpha_series_mt, alpha_series_tgldd,
                   converge_series, polygamma, spectral_density_from_series)
 from .fit import (FitResult, ScalingTransform, fit_exponentials,
-                  incremental_fit, objective_jacobian, objective_residuals,
-                  starting_values_pade)
+                  incremental_fit, objective_jacobian, objective_residuals)
 from .influence import (EtaGrid, eta_oracle, eta_strang, eta_trotter,
                         quapi_correct, reorganization_energy)
 
@@ -34,7 +33,6 @@ __all__ = [
     "converge_series", "polygamma", "spectral_density_from_series",
     "FitResult", "ScalingTransform", "fit_exponentials",
     "incremental_fit", "objective_jacobian", "objective_residuals",
-    "starting_values_pade",
     "EtaGrid", "eta_oracle", "eta_strang", "eta_trotter", "quapi_correct",
     "reorganization_energy",
     "__version__",

@@ -214,13 +214,13 @@ class ProblemSpec:
             raise InvalidInputError(f"task.{key}: expected an integer")
         return int(value)
 
-    def time_grid(self, tmax=None, points=None, default_tmax=None):
+    def time_grid(self, tmax=None, points=None):
         """linspace(0, tmax, points) with each of ``tmax`` and ``points``
         taken from the argument if given, else from ``task.tmax`` (default
-        ``default_tmax``, or required) and ``task.points`` (default 201).
+        5 beta*hbar) and ``task.points`` (default 201).
         Checked before any numerics: the error names the task field."""
         if tmax is None:
-            tmax = self.task_float("tmax", default_tmax)
+            tmax = self.task_float("tmax", 5.0 * self.ctx.beta_hbar)
         if points is None:
             points = self.task_int("points", 201)
         if not tmax > 0:
@@ -397,7 +397,7 @@ def _quadrature_function(J, ctx, reference=None, tol=None):
     :func:`bcf.alpha_quadrature` computed once for the whole grid.
 
     ``reference`` is a pair of arrays (t, alpha) already integrated to the
-    default tolerance ``tol``, such as a stalled series carries; grid times
+    default tolerance ``tol``, such as a failed series carries; grid times
     found in it are taken from it, not integrated again.
     """
     if tol is None:
@@ -434,7 +434,7 @@ def _cmd_fit(args):
     if kmax < 1:
         raise InvalidInputError(f"{field}: K_max must be >= 1, got {kmax}")
     if args.spec is not None:
-        t = spec.time_grid(default_tmax=5.0 * spec.ctx.beta_hbar)
+        t = spec.time_grid()
         fn, used = _alpha_function(spec, "auto")
         alpha = fn(t)
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)

@@ -59,12 +59,12 @@ class ConvergenceError(BathkitError):
     """An iterative refinement loop hit its cap before reaching tolerance.
 
     ``best_error`` records the smallest error seen; ``best_result`` the
-    corresponding object (may be ``None``).  A stalled series also hands on
-    the quadrature reference it was compared with, so a caller falling back
-    to quadrature need not integrate those times again: ``reference`` is
-    the pair of arrays ``(t, alpha)`` at the grid times where quadrature
-    converged, and ``reference_tol`` the absolute tolerance they were
-    integrated to (both ``None`` when there is no reference).
+    corresponding object (may be ``None``).  A series that fails to converge
+    also hands on the quadrature reference it was compared with, so a caller
+    falling back to quadrature need not integrate those times again:
+    ``reference`` is the pair of arrays ``(t, alpha)`` at the grid times
+    where quadrature converged, and ``reference_tol`` the absolute tolerance
+    they were integrated to (both ``None`` when there is no reference).
     """
 
     def __init__(self, message, best_error=None, best_result=None,

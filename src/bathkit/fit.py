@@ -22,16 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bcf import AlphaSamples, _series_builder_for
+from .bcf import AlphaSamples
 from .errors import InvalidInputError
-from .model import _EXP_CLAMP, ExponentialSeries, ThermalContext, series_eval
+from .model import _EXP_CLAMP, ExponentialSeries, series_eval
 
 __all__ = [
     "FitResult",
     "ScalingTransform",
     "objective_residuals",
     "objective_jacobian",
-    "starting_values_pade",
     "fit_exponentials",
     "incremental_fit",
 ]
@@ -143,22 +142,6 @@ def objective_jacobian(params, samples: AlphaSamples) -> np.ndarray:
     jac[0::2] = (-w * deriv.real).T
     jac[1::2] = (-w * deriv.imag).T
     return jac
-
-
-# ---------------------------------------------------------------------------
-# starting values
-# ---------------------------------------------------------------------------
-
-def starting_values_pade(J, ctx: ThermalContext, K: int) -> ExponentialSeries:
-    """Analytic starting series for a structured Lorentzian density: the
-    2h pole-pair terms plus K - 2h approximant terms."""
-    builder = _series_builder_for(J)
-    n_pairs = 2 * len(J.terms)
-    if K < n_pairs:
-        raise InvalidInputError(
-            f"K must be >= {n_pairs} (the conjugate pole-pair terms cannot "
-            f"be dropped), got {K}")
-    return builder(J, ctx, K - n_pairs)
 
 
 # the most points the subspace start reads: its SVD costs O(m^3) in the

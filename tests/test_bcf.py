@@ -729,6 +729,95 @@ class TestConvergeSeries:
         with pytest.raises(bk.InvalidInputError):
             bk.converge_series(bk.PowerLaw.create(1.0, 1.0, 1.0), CTX, 1e-4)
 
+    @staticmethod
+    def count_orders(monkeypatch, name):
+        """Record the approximant order of every call of builder ``name``."""
+        orders = []
+        builder = getattr(bcf, name)
+
+        def counted(J, ctx, n):
+            orders.append(n)
+            return builder(J, ctx, n)
+
+        monkeypatch.setattr(bcf, name, counted)
+        return orders
+
+    def test_walk_stops_where_it_converges(self, monkeypatch):
+        orders = self.count_orders(monkeypatch, "alpha_series_gldd")
+        J = bk.GLDD([bk.LorentzianTerm(0.5, 1.0, 0.5),
+                     bk.LorentzianTerm(-0.25, 2.0, 0.5)])
+        bk.converge_series(J, CTX, 1e-6)
+        assert orders == [1, 2, 4, 8, 16]
+
+    def test_walk_gives_up_at_the_floor(self, monkeypatch):
+        # the published Meier-Tannor weights never converge; at N = 200 the
+        # approximant rates are far past the poles of a warm bath
+        orders = self.count_orders(monkeypatch, "alpha_series_mt")
+        J = bk.MeierTannor([bk.LorentzianTerm(1.0, 1.0, 1.0)])
+        ctx = bk.ThermalContext(beta=1.3)
+        with pytest.raises(bk.ConvergenceError, match="orders up to 200"):
+            bk.converge_series(J, ctx, 1e-6, t_grid=default_time_grid(ctx, 41))
+        assert orders == [1, 2, 4, 8, 16, 32, 64, 128, 200]
+
+    # beta*hbar*xi_N is 1.03e5, 4.09e5 and 1.63e6 at N = 200, 400 and 800:
+    # the walk doubles past 200 until it is 16 times the pole modulus, or
+    # stops at N = 800
+    @pytest.mark.parametrize("omega_tilde,last", [
+        (1.0, 200), (2e4, 400), (1e6, 800)])
+    def test_walk_doubles_until_past_the_poles(self, monkeypatch,
+                                               omega_tilde, last):
+        # a reference no series matches, so only the bound stops the walk
+        monkeypatch.setattr(bcf, "alpha_quadrature",
+                            lambda J, ctx, t, tol=None: 1.0)
+        orders = self.count_orders(monkeypatch, "alpha_series_gldd")
+        J = bk.GLDD([bk.LorentzianTerm(1.0, 1.0, omega_tilde)])
+        with pytest.raises(bk.ConvergenceError):
+            bk.converge_series(J, CTX, 1e-6, t_grid=default_time_grid(CTX, 5))
+        expected = [1, 2, 4, 8, 16, 32, 64, 128, 200, 400, 800]
+        assert orders == expected[:expected.index(last) + 1]
+
+    # at beta = 909 the error is flat (0.88 to 0.86) from N = 1 to 8, then
+    # falls to 7.5e-12 at N = 200 once xi_N has passed the pole at 13.6;
+    # four times colder, xi_200 is short of it and the walk goes on to 400
+    @pytest.mark.parametrize("beta,last", [(909.0, 200), (3636.0, 400)])
+    def test_cold_bath_converges_past_the_stall(self, monkeypatch, beta,
+                                                last):
+        mpmath = pytest.importorskip("mpmath")
+        orders = self.count_orders(monkeypatch, "alpha_series_gldd")
+        terms = [bk.LorentzianTerm(-10.7773, 0.00538111, 13.5691)]
+        ctx = bk.ThermalContext(beta=beta)
+        with pytest.warns(UserWarning, match="excluded"):
+            series = bk.converge_series(bk.GLDD(terms), ctx, 1e-6)
+        assert orders[-1] == last
+        t = default_time_grid(ctx, 41)[1:]
+        exact = exact_pole_expansion(mpmath, terms, beta, "gldd", t)
+        assert np.max(np.abs(series(t) - exact)) \
+            <= 1e-6 * np.max(np.abs(exact))
+
+    # cold Drude-like baths: a give-up is right only where the series at
+    # the give-up order misses the exact pole expansion.  With beta*hbar*gamma
+    # <= 1e3, xi_200 is over 100 gamma, so the walk gives up at N = 200.
+    @settings(max_examples=20, deadline=None)
+    @given(lam=st.floats(0.1, 2.0), beta=st.floats(1.0, 100.0),
+           log_bh_gamma=st.floats(1.0, 3.0))
+    def test_no_false_give_up_on_cold_drude(self, lam, beta, log_bh_gamma):
+        mpmath = pytest.importorskip("mpmath")
+        J = bk.GLDD([bk.LorentzianTerm(lam, 10.0**log_bh_gamma / beta, 0.0)])
+        ctx = bk.ThermalContext(beta=beta)
+        grid = default_time_grid(ctx, 41)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                bk.converge_series(J, ctx, 1e-6, t_grid=grid)
+                return
+            except bk.ConvergenceError:
+                pass
+        last = bk.alpha_series_gldd(J, ctx, 200)
+        exact = exact_pole_expansion(mpmath, J.terms, beta, "gldd",
+                                     grid[1:])
+        assert np.max(np.abs(last(grid[1:]) - exact)) \
+            > 1e-6 * np.max(np.abs(exact))
+
     def test_overflowing_weights_are_typed(self):
         # at beta = 1e-300 the approximant rates xi_k ~ 1e300 overflow the
         # residues c_k z/2 of the bose expansion; the builder says so, where

@@ -1,13 +1,16 @@
 """End-to-end tests of the command line front end."""
 
+import contextlib
 import csv
 import io
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
 from bathkit.cli import main
@@ -93,6 +96,32 @@ def count_quadratures(monkeypatch):
     return calls
 
 
+@st.composite
+def random_specs(draw):
+    """A GLDD, TGLDD, MT or power-law spec with beta log-uniform on
+    [1e-3, 1e3] and 11 points on the default [0, 5 beta hbar]."""
+    family = draw(st.sampled_from(["gldd", "tgldd", "mt", "powerlaw"]))
+    beta = 10.0 ** draw(st.floats(-3.0, 3.0))
+    if family == "powerlaw":
+        exponent = draw(st.one_of(st.integers(1, 3).map(float),
+                                  st.floats(0.3, 3.0)))
+        stretching = draw(st.one_of(st.just(1.0), st.floats(1.0, 3.0)))
+        lines = [f"amplitude = {draw(st.floats(0.1, 2.0))!r}",
+                 f"exponent = {exponent!r}",
+                 f"cutoff = {draw(st.floats(0.5, 5.0))!r}",
+                 f"stretching = {stretching!r}"]
+    else:
+        terms = draw(st.lists(st.tuples(
+            st.floats(-2.0, 2.0), st.floats(0.05, 5.0),
+            st.one_of(st.just(0.0), st.floats(0.0, 5.0))),
+            min_size=1, max_size=2))
+        lines = [f"term.{k} = {lam!r}, {gamma!r}, {w0!r}"
+                 for k, (lam, gamma, w0) in enumerate(terms, start=1)]
+    return "\n".join([f"[thermal]\nbeta = {beta!r}\n\n[spectral_density]",
+                      f"family = {family}"] + lines
+                     + ["\n[task]\npoints = 11\n"])
+
+
 class TestPade:
     def test_order1_be_row(self, capsys):
         code, out, _ = run_cli(["pade", "--stat", "be", "--order", "1"],
@@ -170,9 +199,19 @@ class TestAlpha:
                        for ti, a in zip(t, alpha))
         assert out == "t,re_alpha,im_alpha\n" + rows
 
+    def test_default_tmax_is_five_beta_hbar(self, tmp_path, capsys):
+        # the same default as fit --spec
+        spec = write_spec(tmp_path, POWERLAW_SPEC.replace(
+            "beta = 1.0", "beta = 1.3\nhbar = 0.5"))
+        code, out, _ = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 0
+        _, body = parse_table(out)
+        assert len(body) == 201
+        assert float(body[0][0]) == 0.0 and float(body[-1][0]) == 5.0 * 0.65
+
     def test_stalled_series_reuses_its_reference(self, tmp_path, capsys,
                                                  monkeypatch):
-        # the Meier-Tannor series stalls; its 201-point reference on
+        # the Meier-Tannor series never converges; its 201-point reference on
         # [0, 5 beta] is the quadrature fallback's grid
         spec = write_spec(tmp_path, MT_SPEC)
         calls = count_quadratures(monkeypatch)
@@ -529,6 +568,26 @@ class TestExitCodes:
         code, out, err = run_cli([command, "--spec", spec], capsys)
         assert code == 3 and out == "" and calls == []
         assert err == f"bathkit: invalid input: {message}\n"
+
+    # 30 examples of three calls each: about 2-5 s
+    @settings(max_examples=30, deadline=None)
+    @given(spec=random_specs())
+    def test_random_specs_exit_with_a_typed_message(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "spec.ini")
+            with open(path, "w") as fh:
+                fh.write(spec)
+            for argv in (["alpha"], ["lambda"], ["fit", "--kmax", "2"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = main(argv + ["--spec", path, "--out",
+                                        os.path.join(tmp, "out.csv")])
+                text = err.getvalue()
+                assert code in (0, 3, 4) and "Traceback" not in text, \
+                    (argv, spec)
+                if code:
+                    assert any(line.startswith("bathkit: ")
+                               for line in text.splitlines()), (argv, spec)
 
     @pytest.mark.parametrize("command", ["jw", "lambda"])
     def test_unwritable_out_is_invalid_input(self, tmp_path, capsys,

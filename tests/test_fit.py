@@ -121,45 +121,6 @@ class TestObjective:
             assert jac.tobytes() == ref.tobytes()
 
 
-class TestStartingValuesPade:
-    def test_term_count(self):
-        ctx = bk.ThermalContext(beta=1.0)
-        J = bk.GLDD([bk.LorentzianTerm(1.0, 1.0, 0.0)])
-        start = bk.starting_values_pade(J, ctx, 3)
-        assert start.count == 3  # 2 pole terms + 1 approximant term
-
-    def test_k_too_small(self):
-        ctx = bk.ThermalContext(beta=1.0)
-        J = bk.GLDD([bk.LorentzianTerm(1.0, 1.0, 0.0),
-                     bk.LorentzianTerm(0.5, 2.0, 1.0)])
-        with pytest.raises(bk.InvalidInputError):
-            bk.starting_values_pade(J, ctx, 3)
-
-    def test_fit_preserves_series_quality(self):
-        # fitting from the analytic start cannot make the residual worse
-        ctx = bk.ThermalContext(beta=1.0)
-        J = bk.GLDD([bk.LorentzianTerm(1.0, 1.0, 0.0)])
-        start = bk.starting_values_pade(J, ctx, 6)
-        t = np.linspace(0.0, 5.0, 101)[1:]
-        t = np.concatenate([[0.0], t])
-        alpha = np.array([complex(start(ti)) if ti == 0.0
-                          else bk.alpha_quadrature(J, ctx, float(ti))
-                          for ti in t])
-        alpha[0] = alpha[0].real
-        samples = bk.AlphaSamples(t, alpha)
-        initial = objective_residuals(_pack(start), samples)
-        initial_rms = np.sqrt(np.sum(initial**2) / t.size)
-        result = bk.fit_exponentials(samples, start)
-        # rms_residual is on the scaled problem; compare in scaled units
-        scale = np.max(np.abs(alpha))
-        assert result.rms_residual <= initial_rms / scale + 1e-12
-
-    def test_unsupported_family(self):
-        ctx = bk.ThermalContext(beta=1.0)
-        with pytest.raises(bk.InvalidInputError):
-            bk.starting_values_pade(bk.PowerLaw.create(1, 1, 1), ctx, 2)
-
-
 def subspace_start(samples, K):
     return _subspace_start(*_hankel_basis(samples), K)
 
