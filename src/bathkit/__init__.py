@@ -13,8 +13,8 @@ from .pade import PadeParams, Statistics, pade_bose_approx, pade_parameters
 from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
                   alpha_series_gldd, alpha_series_mt, alpha_series_tgldd,
                   converge_series, polygamma, spectral_density_from_series)
-from .fit import (FitResult, ScalingTransform, fit_exponentials,
-                  incremental_fit, objective_jacobian, objective_residuals)
+from .fit import (FitResult, fit_exponentials, incremental_fit,
+                  objective_jacobian, objective_residuals)
 from .influence import (EtaGrid, eta_oracle, eta_strang, eta_trotter,
                         quapi_correct, reorganization_energy)
 
@@ -31,8 +31,8 @@ __all__ = [
     "AlphaSamples", "alpha_powerlaw_closed_form", "alpha_quadrature",
     "alpha_series_gldd", "alpha_series_mt", "alpha_series_tgldd",
     "converge_series", "polygamma", "spectral_density_from_series",
-    "FitResult", "ScalingTransform", "fit_exponentials",
-    "incremental_fit", "objective_jacobian", "objective_residuals",
+    "FitResult", "fit_exponentials", "incremental_fit",
+    "objective_jacobian", "objective_residuals",
     "EtaGrid", "eta_oracle", "eta_strang", "eta_trotter", "quapi_correct",
     "reorganization_energy",
     "__version__",

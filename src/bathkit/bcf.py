@@ -31,8 +31,8 @@ from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
                      DivergenceError, InvalidInputError, PoleError,
                      RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
-                    ExponentialSeries, ThermalContext, _fill_blocks,
-                    series_eval)
+                    ExponentialSeries, ThermalContext, _fill_blocks, _quad,
+                    _scipy_quad, series_eval)
 from .pade import Statistics, pade_parameters
 
 __all__ = [
@@ -97,39 +97,6 @@ class AlphaSamples:
 # ---------------------------------------------------------------------------
 # quadrature route
 # ---------------------------------------------------------------------------
-
-def _scipy_quad(f, a, b, **kwargs):
-    """scipy.quad with an integrand overflow raised as RangeError."""
-    from scipy.integrate import quad
-    try:
-        return quad(f, a, b, **kwargs)
-    except OverflowError as exc:
-        raise RangeError(
-            f"the integrand overflows the float range ({exc})") from exc
-
-
-_QUAD_PANELS = 400  # QUADPACK's subinterval (and Fourier cycle) limit
-
-
-def _quad(f, a, b, *, weight=None, wvar=None, epsabs):
-    """scipy.quad with integration warnings promoted to AccuracyError."""
-    from scipy.integrate import IntegrationWarning
-    kwargs = dict(epsabs=epsabs, limit=_QUAD_PANELS)
-    if weight is not None:
-        kwargs.update(weight=weight, wvar=wvar)
-        if b == np.inf and weight in ("cos", "sin"):
-            kwargs["limlst"] = _QUAD_PANELS
-    else:
-        kwargs["epsrel"] = max(1e-12, epsabs)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, abserr = _scipy_quad(f, a, b, **kwargs)
-    for w in caught:
-        if issubclass(w.category, IntegrationWarning):
-            raise AccuracyError(
-                f"quadrature did not converge: {w.message}", achieved=abserr)
-    return value
-
 
 def _alpha_scale(J, ctx):
     """Cheap magnitude proxy for |alpha| used to set absolute tolerances.

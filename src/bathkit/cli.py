@@ -370,7 +370,7 @@ def _alpha_function(spec, method):
         try:
             series = bcf.converge_series(J, ctx, tol)
         except ConvergenceError as exc:
-            print(f"series construction failed ({exc}); "
+            print(f"bathkit: note: series construction failed ({exc}); "
                   "falling back to quadrature", file=sys.stderr)
             return _quadrature_function(J, ctx, exc.reference,
                                         exc.reference_tol), "quadrature"

@@ -28,7 +28,6 @@ from .model import _EXP_CLAMP, ExponentialSeries, series_eval
 
 __all__ = [
     "FitResult",
-    "ScalingTransform",
     "objective_residuals",
     "objective_jacobian",
     "fit_exponentials",
@@ -57,36 +56,6 @@ class FitResult:
     rms_residual: float
     iterations: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class ScalingTransform:
-    """Affine-free rescaling of the fit problem.
-
-    Scaled quantities: t' = t / t_scale, alpha' = alpha / a_scale,
-    omega' = omega * t_scale, p' = p / a_scale.  The round trip is exact up
-    to floating-point rounding.
-    """
-
-    t_scale: float
-    a_scale: float
-
-    @classmethod
-    def for_samples(cls, samples: AlphaSamples) -> "ScalingTransform":
-        a = float(np.max(np.abs(samples.alpha)))
-        return cls(t_scale=float(samples.t[-1]), a_scale=a if a > 0 else 1.0)
-
-    def scale_samples(self, samples: AlphaSamples) -> AlphaSamples:
-        return AlphaSamples(samples.t / self.t_scale,
-                            samples.alpha / self.a_scale, samples.weights)
-
-    def scale_series(self, series: ExponentialSeries) -> ExponentialSeries:
-        return ExponentialSeries(series.p / self.a_scale,
-                                 series.omega * self.t_scale)
-
-    def unscale_series(self, series: ExponentialSeries) -> ExponentialSeries:
-        return ExponentialSeries(series.p * self.a_scale,
-                                 series.omega / self.t_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +196,12 @@ def fit_exponentials(samples: AlphaSamples,
     converged=False rather than an exception.
     """
     from scipy.optimize import least_squares
-    transform = ScalingTransform.for_samples(samples)
-    scaled = transform.scale_samples(samples)
-    omega = transform.scale_series(start).omega
+    # t' = t / t_scale, alpha' = alpha / a_scale, omega' = omega * t_scale
+    t_scale = float(samples.t[-1])
+    a_scale = float(np.max(np.abs(samples.alpha))) or 1.0
+    scaled = AlphaSamples(samples.t / t_scale, samples.alpha / a_scale,
+                          samples.weights)
+    omega = start.omega * t_scale
     ub = np.tile([-_EPSILON, np.inf], start.count)  # decaying only
     theta0 = np.minimum(omega.view(float), ub)
     problem = _Projection(scaled)
@@ -246,7 +218,8 @@ def fit_exponentials(samples: AlphaSamples,
     series = ExponentialSeries(p, problem.omega)
     res = objective_residuals(_pack(series), scaled)
     rms = float(np.sqrt(np.sum(res**2) / samples.t.size))
-    return FitResult(series=transform.unscale_series(series),
+    return FitResult(series=ExponentialSeries(series.p * a_scale,
+                                              series.omega / t_scale),
                      rms_residual=rms,
                      iterations=int(result.nfev),
                      converged=bool(result.status > 0))

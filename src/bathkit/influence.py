@@ -10,17 +10,14 @@ test-suite to pin the window geometry.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bcf import _quad
-from .errors import (AccuracyError, DivergenceError, InvalidInputError,
-                     RangeError)
-from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, Tabulated,
-                    ExponentialSeries, ThermalContext, _fill_blocks)
+from .errors import AccuracyError, DivergenceError, InvalidInputError
+from .model import (ExponentialSeries, SpectralDensity, ThermalContext,
+                    _fill_blocks)
 
 __all__ = [
     "EtaGrid",
@@ -213,57 +210,14 @@ def eta_strang(series: ExponentialSeries, dt: float, N: int) -> EtaGrid:
 # ---------------------------------------------------------------------------
 
 def reorganization_energy(J: SpectralDensity, ctx: ThermalContext = None) -> float:
-    """lambda = int_0^inf J(w)/w dw, analytically where the family allows it.
-
-    ``ctx`` is required for the thermally scaled family, whose definition
-    carries tanh(beta*hbar*w/2); the other families have temperature-free
-    values.  The linear interpolant of a Tabulated density is integrated
-    exactly, segment by segment; TGLDD, the one family without a closed
-    form, is integrated over [0, J.omega_max].
-    """
+    """lambda = int_0^inf J(w)/w dw, as ``J.reorganization_energy(ctx)``
+    gives it; ``ctx`` is required for :class:`~bathkit.model.TGLDD`.
+    Raises :class:`DivergenceError` if J ~ w**s with s <= 0 near w = 0."""
     if J.small_omega_exponent() <= 0:
         raise DivergenceError(
             "J(w) ~ w**s with s <= 0 near w = 0: the reorganization "
             "integral diverges")
-    if isinstance(J, GLDD):
-        return float(sum(t.lam for t in J.terms))
-    if isinstance(J, MeierTannor):
-        return float(sum(
-            np.pi**2 * t.lam / (8.0 * t.gamma * (t.gamma**2 + t.omega_tilde**2))
-            for t in J.terms))
-    if isinstance(J, PowerLaw):
-        prm = J.params
-        try:
-            return prm.amplitude / prm.stretching * prm.cutoff**prm.exponent \
-                * math.gamma(prm.exponent / prm.stretching)
-        except OverflowError as exc:
-            raise RangeError(
-                f"reorganization energy overflows the float range ({exc})"
-            ) from exc
-    if isinstance(J, Tabulated):
-        return _tabulated_lambda(J.omega, J.j)
-    _, j = J.quadrature_integrands(ctx)
-    integrand = _over_omega(j, J.j_over_omega_limit(ctx))
-    return _quad(integrand, 0.0, J.omega_max, epsabs=1e-12)
-
-
-def _tabulated_lambda(w, j):
-    """Sum over segments of int (a + b w)/w dw = a ln(w2/w1) + b (w2 - w1),
-    where J = a + b w on [w1, w2].  ln(w2/w1) is taken as
-    log1p((w2 - w1)/w1), which keeps its digits on fine grids.  A segment
-    from w = 0 has a = J(0) = 0 (the integral would diverge otherwise) and
-    contributes b w2."""
-    w1, dw = w[:-1], np.diff(w)
-    b = np.diff(j) / dw
-    a = j[:-1] - b * w1
-    inner = w1 > 0.0
-    return float(np.sum(a[inner] * np.log1p(dw[inner] / w1[inner]))
-                 + np.sum(b * dw))
-
-
-def _over_omega(j, at_zero):
-    """The float integrand w -> j(w)/w, equal to ``at_zero`` at w = 0."""
-    return lambda w: j(w) / w if w != 0.0 else at_zero
+    return J.reorganization_energy(ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -4,23 +4,11 @@ Units are a single consistent system chosen by the caller.  ``hbar`` defaults
 to 1 but is carried explicitly everywhere the combination ``beta * hbar``
 appears, so nothing in the library assumes natural units.
 
-Each density family writes J twice: as arrays in
-:func:`eval_spectral_density`, the reference, and as floats in the ``re`` of
-its quadrature pair.  It owns the facts the other modules need about it:
-
-* ``quadrature_integrands(ctx)``, the pair (re, j) of the transform
-  alpha(t) = int_0^omega_max [re(w) cos(wt) - i j(w) sin(wt) / pi] dw, with
-
-      re(w) = J(w) coth(beta*hbar*w/2) / pi    and    j(w) = J(w);
-
-* ``j_over_omega_limit(ctx)``, lim_{w->0+} J(w)/w;
-* ``omega_j_limit()``, lim_{w->inf} w J(w): alpha(0) diverges
-  logarithmically unless it is 0;
-* ``small_omega_exponent()``, the leading power s of J(w) ~ w**s as w -> 0
-  (s <= 0 makes the response and reorganization integrals diverge);
-* ``frequency_scale()``, the frequency beyond which J has decayed;
-* ``omega_max``, the end of the support of J (``inf`` except for
-  :class:`Tabulated`).
+Each density family is a subclass of :class:`SpectralDensity`, whose
+docstring lists what a family answers for: J on arrays, its reorganization
+energy, the integrand pair of its response transform and the limits the
+other modules need.  The scipy.quad wrapper :func:`_quad` lives here, the
+lowest layer, beside the integrands it is called with.
 
 QUADPACK calls ``re`` and ``j`` about a thousand times per alpha(t) value,
 and the sine pass asks ``j`` for J at 90-97 % of the nodes the cosine pass
@@ -37,13 +25,14 @@ bounded, and the nodes of another t would not repeat.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from types import MethodType
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, PoleError
+from .errors import AccuracyError, InvalidInputError, PoleError, RangeError
 
 __all__ = [
     "ThermalContext",
@@ -156,10 +145,63 @@ def _packed_lorentzians(terms):
     return tuple((t.lam * t.gamma, t.gamma**2, t.omega_tilde) for t in terms)
 
 
-def _lorentzian_sum_at_zero(terms):
-    """sum_h 2*lam*gamma / (gamma^2 + w0^2), the Lorentzian sum at w = 0."""
-    return sum(2 * t.lam * t.gamma / (t.gamma**2 + t.omega_tilde**2)
-               for t in terms)
+def _lorentzian_sum(terms, omega):
+    total = 0.0
+    for term in terms:
+        total = total + (
+            term.lam * term.gamma / (term.gamma**2 + (omega - term.omega_tilde) ** 2)
+            + term.lam * term.gamma / (term.gamma**2 + (omega + term.omega_tilde) ** 2)
+        )
+    return total
+
+
+def _float_or_array(out):
+    """A 0-d result as a float, any other as the array."""
+    return out if out.ndim else float(out)
+
+
+def _require_context(ctx):
+    """``ctx``, which a TGLDD density needs."""
+    if ctx is None:
+        raise InvalidInputError(
+            "a ThermalContext is required to evaluate a TGLDD density")
+    return ctx
+
+
+def _scipy_quad(f, a, b, **kwargs):
+    """scipy.quad with an integrand overflow raised as RangeError."""
+    from scipy.integrate import quad
+    try:
+        return quad(f, a, b, **kwargs)
+    except OverflowError as exc:
+        raise RangeError(
+            f"the integrand overflows the float range ({exc})") from exc
+
+
+_QUAD_PANELS = 400  # QUADPACK's subinterval (and Fourier cycle) limit
+
+
+def _quad(f, a, b, *, weight=None, wvar=None, epsabs):
+    """scipy.quad with integration warnings promoted to AccuracyError."""
+    from scipy.integrate import IntegrationWarning
+    kwargs = dict(epsabs=epsabs, limit=_QUAD_PANELS)
+    if weight is not None:
+        kwargs.update(weight=weight, wvar=wvar)
+        if b == np.inf and weight in ("cos", "sin"):
+            kwargs["limlst"] = _QUAD_PANELS
+    else:
+        kwargs["epsrel"] = max(1e-12, epsabs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        value, abserr = _scipy_quad(f, a, b, **kwargs)
+    for w in caught:
+        if issubclass(w.category, IntegrationWarning):
+            # SciPy's text runs over lines and ends in advice on arguments
+            # set here (full_output): keep its first sentence, on one line
+            reason = " ".join(str(w.message).split(".")[0].split())
+            raise AccuracyError(f"quadrature did not converge: {reason}.",
+                                achieved=abserr)
+    return value
 
 
 class _NodeTable(dict):
@@ -193,28 +235,52 @@ def _real_integrand_at_zero(J, ctx):
     return 2.0 / (ctx.beta_hbar * math.pi) * J.j_over_omega_limit(ctx)
 
 
+class SpectralDensity:
+    """Base class of the spectral-density families.  Each family writes J
+    twice, as arrays in ``__call__``, the reference, and as floats in the
+    ``re`` of its quadrature pair, and answers for
+
+    * ``__call__(omega, ctx=None)``, J at ``omega``: a float for a scalar,
+      an array of its shape for an array.  Only :class:`TGLDD`, whose J
+      carries tanh(beta*hbar*w/2), needs ``ctx``;
+    * ``reorganization_energy(ctx=None)``, lambda = int_0^omega_max J(w)/w
+      dw for s > 0: a closed form, or quadrature for :class:`TGLDD`;
+    * ``quadrature_integrands(ctx)``, the pair (re, j) of the transform
+      alpha(t) = int_0^omega_max [re(w) cos(wt) - i j(w) sin(wt) / pi] dw,
+      re(w) = J(w) coth(beta*hbar*w/2) / pi and j(w) = J(w);
+    * ``j_over_omega_limit(ctx)``, lim_{w->0+} J(w)/w;
+    * ``frequency_scale()``, the frequency beyond which J has decayed;
+    * ``omega_max``, the end of the support of J (default ``inf``);
+    * ``small_omega_exponent()``, the leading power s of J(w) ~ w**s as
+      w -> 0 (default 1); s <= 0 makes the response and reorganization
+      integrals diverge;
+    * ``omega_j_limit()``, lim_{w->inf} w J(w) (default 0); alpha(0)
+      diverges logarithmically unless it is 0.
+    """
+
+    omega_max = math.inf
+
+    def small_omega_exponent(self) -> float:
+        return 1.0
+
+    def omega_j_limit(self) -> float:
+        return 0.0
+
+
 @dataclass(frozen=True)
-class _LorentzianFamily:
+class _LorentzianFamily(SpectralDensity):
     """Base of the families built from Lorentzian terms: J(w) ~ w near
     w = 0 and no upper end of the support.  Subclasses are declared with
     ``init=False`` so that they keep the validating ``__init__``."""
 
     terms: tuple[LorentzianTerm, ...]
-    omega_max = math.inf
 
     def __init__(self, terms: Sequence[LorentzianTerm]):
         object.__setattr__(self, "terms", _check_terms(terms))
 
-    def small_omega_exponent(self) -> float:
-        return 1.0
-
     def frequency_scale(self) -> float:
         """The largest gamma + omega_tilde over the terms."""
         return max(t.gamma + t.omega_tilde for t in self.terms)
-
-    def omega_j_limit(self) -> float:
-        """lim_{w->inf} w J(w): 0, as J decays like 1/w**2 or faster."""
-        return 0.0
 
 
 @dataclass(frozen=True, init=False)
@@ -225,16 +291,24 @@ class GLDD(_LorentzianFamily):
                           + lam*gamma/(gamma^2+(w+w0)^2) ]
     """
 
+    def __call__(self, omega, ctx: ThermalContext = None):
+        omega = np.asarray(omega, dtype=float)
+        return _float_or_array(
+            omega / np.pi * _lorentzian_sum(self.terms, omega))
+
+    def reorganization_energy(self, ctx: ThermalContext = None) -> float:
+        """sum_h lam; ``ctx`` is not needed."""
+        return float(sum(t.lam for t in self.terms))
+
     def j_over_omega_limit(self, ctx: ThermalContext) -> float:
         """lim_{w->0+} J(w)/w; ``ctx`` is not needed."""
-        return _lorentzian_sum_at_zero(self.terms) / math.pi
+        return _lorentzian_sum(self.terms, 0.0) / math.pi
 
     def omega_j_limit(self) -> float:
         """lim_{w->inf} w J(w) = 2 sum_h lam*gamma / pi."""
         return 2.0 * sum(t.lam * t.gamma for t in self.terms) / math.pi
 
     def quadrature_integrands(self, ctx: ThermalContext):
-        """The quadrature integrand pair (re, j); see the module doc."""
         packed = _packed_lorentzians(self.terms)
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
@@ -265,23 +339,32 @@ class TGLDD(_LorentzianFamily):
     :class:`ThermalContext`.
     """
 
+    def __call__(self, omega, ctx: ThermalContext = None):
+        bh = _require_context(ctx).beta_hbar
+        omega = np.asarray(omega, dtype=float)
+        return _float_or_array(np.tanh(bh * omega / 2.0) / np.pi
+                               * _lorentzian_sum(self.terms, omega))
+
+    def reorganization_energy(self, ctx: ThermalContext = None) -> float:
+        """int_0^inf J(w)/w dw by quadrature of the pair's j(w)/w, as no
+        closed form is known; ``ctx`` is required."""
+        _, j = self.quadrature_integrands(ctx)
+        at_zero = self.j_over_omega_limit(ctx)
+        return _quad(lambda w: j(w) / w if w != 0.0 else at_zero,
+                     0.0, self.omega_max, epsabs=1e-12)
+
     def j_over_omega_limit(self, ctx: ThermalContext) -> float:
         """lim_{w->0+} J(w)/w = beta*hbar/(2 pi) * (Lorentzian sum at 0)."""
         return ctx.beta_hbar / 2.0 / math.pi \
-            * _lorentzian_sum_at_zero(self.terms)
+            * _lorentzian_sum(self.terms, 0.0)
 
     def quadrature_integrands(self, ctx: ThermalContext):
-        """The quadrature integrand pair (re, j); see the module doc.
-
-        coth(beta*hbar*w/2) cancels the tanh of J exactly, so ``re`` is the
+        """coth(beta*hbar*w/2) cancels the tanh of J exactly, so ``re`` is the
         Lorentzian sum over pi**2, smooth at w = 0; it forms J from the same
         sum only for the node table.
         """
-        if ctx is None:
-            raise InvalidInputError(
-                "a ThermalContext is required to evaluate a TGLDD density")
+        bh = _require_context(ctx).beta_hbar
         packed = _packed_lorentzians(self.terms)
-        bh = ctx.beta_hbar
         pi, tanh = math.pi, math.tanh
 
         def re(table, w):
@@ -304,13 +387,29 @@ class MeierTannor(_LorentzianFamily):
     J(w) = (pi*w/2) * sum_h lam / [ (gamma^2+(w+w0)^2) (gamma^2+(w-w0)^2) ]
     """
 
+    def __call__(self, omega, ctx: ThermalContext = None):
+        omega = np.asarray(omega, dtype=float)
+        total = 0.0
+        for term in self.terms:
+            total = total + term.lam / (
+                (term.gamma**2 + (omega + term.omega_tilde) ** 2)
+                * (term.gamma**2 + (omega - term.omega_tilde) ** 2)
+            )
+        return _float_or_array(np.pi * omega / 2.0 * total)
+
+    def reorganization_energy(self, ctx: ThermalContext = None) -> float:
+        """sum_h pi^2 lam / (8 gamma (gamma^2 + w0^2)); ``ctx`` is not
+        needed."""
+        return float(sum(np.pi**2 * t.lam
+                         / (8.0 * t.gamma * (t.gamma**2 + t.omega_tilde**2))
+                         for t in self.terms))
+
     def j_over_omega_limit(self, ctx: ThermalContext) -> float:
         """lim_{w->0+} J(w)/w; ``ctx`` is not needed."""
         return math.pi / 2.0 * sum(
             t.lam / (t.gamma**2 + t.omega_tilde**2) ** 2 for t in self.terms)
 
     def quadrature_integrands(self, ctx: ThermalContext):
-        """The quadrature integrand pair (re, j); see the module doc."""
         packed = tuple((t.lam, t.gamma**2, t.omega_tilde) for t in self.terms)
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
@@ -333,15 +432,35 @@ class MeierTannor(_LorentzianFamily):
 
 
 @dataclass(frozen=True)
-class PowerLaw:
+class PowerLaw(SpectralDensity):
     """Power-law spectral density with (stretched) exponential cutoff."""
 
     params: PowerLawCutoff
-    omega_max = math.inf
 
     @classmethod
     def create(cls, amplitude, exponent, cutoff, stretching=1.0):
         return cls(PowerLawCutoff(amplitude, exponent, cutoff, stretching))
+
+    def __call__(self, omega, ctx: ThermalContext = None):
+        omega = np.asarray(omega, dtype=float)
+        p = self.params
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = p.amplitude * omega**p.exponent \
+                * np.exp(-((omega / p.cutoff) ** p.stretching))
+        return _float_or_array(
+            np.where(omega == 0.0, p.amplitude * 0.0**p.exponent, out))
+
+    def reorganization_energy(self, ctx: ThermalContext = None) -> float:
+        """A w_c^s Gamma(s/q) / q; ``ctx`` is not needed.  Raises
+        :class:`RangeError` beyond the float range."""
+        prm = self.params
+        try:
+            return prm.amplitude / prm.stretching * prm.cutoff**prm.exponent \
+                * math.gamma(prm.exponent / prm.stretching)
+        except OverflowError as exc:
+            raise RangeError(
+                f"reorganization energy overflows the float range ({exc})"
+            ) from exc
 
     def small_omega_exponent(self) -> float:
         return self.params.exponent
@@ -349,10 +468,6 @@ class PowerLaw:
     def frequency_scale(self) -> float:
         """cutoff * (1 + s), near the peak of J for s > 0."""
         return self.params.cutoff * (1.0 + self.params.exponent)
-
-    def omega_j_limit(self) -> float:
-        """lim_{w->inf} w J(w): 0 behind the exponential cutoff."""
-        return 0.0
 
     def j_over_omega_limit(self, ctx: ThermalContext) -> float:
         """lim_{w->0+} J(w)/w: 0 for s > 1, A for s = 1, inf for s < 1."""
@@ -364,7 +479,6 @@ class PowerLaw:
         return math.inf
 
     def quadrature_integrands(self, ctx: ThermalContext):
-        """The quadrature integrand pair (re, j); see the module doc."""
         p = self.params
         amplitude, exponent = p.amplitude, p.exponent
         cutoff, stretching = p.cutoff, p.stretching
@@ -383,7 +497,7 @@ class PowerLaw:
 
 
 @dataclass(frozen=True)
-class Tabulated:
+class Tabulated(SpectralDensity):
     """Spectral density known only through samples (w_i, J(w_i)).
 
     Evaluation interpolates linearly between samples and is 0 outside the
@@ -411,6 +525,25 @@ class Tabulated:
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "j", j)
 
+    def __call__(self, omega, ctx: ThermalContext = None):
+        return _float_or_array(np.interp(np.asarray(omega, dtype=float),
+                                         self.omega, self.j,
+                                         left=0.0, right=0.0))
+
+    def reorganization_energy(self, ctx: ThermalContext = None) -> float:
+        """The interpolant integrated exactly: the sum over segments of
+        int (a + b w)/w dw = a ln(w2/w1) + b (w2 - w1), where J = a + b w on
+        [w1, w2].  ln(w2/w1) is taken as log1p((w2 - w1)/w1), which keeps
+        its digits on fine grids.  A segment from w = 0 has a = J(0) = 0
+        (the integral would diverge otherwise) and contributes b w2.
+        ``ctx`` is not needed."""
+        w1, dw = self.omega[:-1], np.diff(self.omega)
+        b = np.diff(self.j) / dw
+        a = self.j[:-1] - b * w1
+        inner = w1 > 0.0
+        return float(np.sum(a[inner] * np.log1p(dw[inner] / w1[inner]))
+                     + np.sum(b * dw))
+
     @property
     def omega_max(self) -> float:
         """The last sample: the interpolant is 0 beyond it."""
@@ -423,10 +556,6 @@ class Tabulated:
     def frequency_scale(self) -> float:
         return self.omega_max
 
-    def omega_j_limit(self) -> float:
-        """lim_{w->inf} w J(w): 0, as the interpolant ends at omega_max."""
-        return 0.0
-
     def j_over_omega_limit(self, ctx: ThermalContext) -> float:
         """lim_{w->0+} J(w)/w of the interpolant; ``ctx`` is not needed."""
         if self.omega[0] > 0.0:
@@ -438,7 +567,6 @@ class Tabulated:
         return float((self.j[1] - self.j[0]) / (self.omega[1] - self.omega[0]))
 
     def quadrature_integrands(self, ctx: ThermalContext):
-        """The quadrature integrand pair (re, j); see the module doc."""
         omega, j = self.omega, self.j
         half_bh = ctx.beta_hbar / 2.0
         at_zero = _real_integrand_at_zero(self, ctx)
@@ -454,55 +582,12 @@ class Tabulated:
         return _integrand_pair(re)
 
 
-SpectralDensity = Union[GLDD, TGLDD, MeierTannor, PowerLaw, Tabulated]
-
-
-def _lorentzian_sum(terms, omega):
-    total = 0.0
-    for term in terms:
-        total = total + (
-            term.lam * term.gamma / (term.gamma**2 + (omega - term.omega_tilde) ** 2)
-            + term.lam * term.gamma / (term.gamma**2 + (omega + term.omega_tilde) ** 2)
-        )
-    return total
-
-
 def eval_spectral_density(J: SpectralDensity, omega, ctx: ThermalContext = None):
-    """Evaluate a spectral density at frequency ``omega`` (scalar or array).
-
-    ``ctx`` is required for the thermally scaled (:class:`TGLDD`) family,
-    whose definition carries tanh(beta*hbar*w/2).  The ``j`` of each
-    family's quadrature pair is the same function on floats; this array
-    evaluator is the reference it is tested against.
-    """
-    omega = np.asarray(omega, dtype=float)
-    if isinstance(J, GLDD):
-        out = omega / np.pi * _lorentzian_sum(J.terms, omega)
-    elif isinstance(J, TGLDD):
-        if ctx is None:
-            raise InvalidInputError(
-                "a ThermalContext is required to evaluate a TGLDD density")
-        out = np.tanh(ctx.beta_hbar * omega / 2.0) / np.pi \
-            * _lorentzian_sum(J.terms, omega)
-    elif isinstance(J, MeierTannor):
-        total = 0.0
-        for term in J.terms:
-            total = total + term.lam / (
-                (term.gamma**2 + (omega + term.omega_tilde) ** 2)
-                * (term.gamma**2 + (omega - term.omega_tilde) ** 2)
-            )
-        out = np.pi * omega / 2.0 * total
-    elif isinstance(J, PowerLaw):
-        p = J.params
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = p.amplitude * omega**p.exponent \
-                * np.exp(-((omega / p.cutoff) ** p.stretching))
-        out = np.where(omega == 0.0, p.amplitude * 0.0**p.exponent, out)
-    elif isinstance(J, Tabulated):
-        out = np.interp(omega, J.omega, J.j, left=0.0, right=0.0)
-    else:
+    """``J(omega, ctx)``: J at ``omega`` (scalar or array) for a density of
+    any family; ``ctx`` is required for :class:`TGLDD`."""
+    if not isinstance(J, SpectralDensity):
         raise InvalidInputError(f"unknown spectral density {J!r}")
-    return out if out.ndim else float(out)
+    return J(omega, ctx)
 
 
 def bose_einstein(x):

@@ -180,6 +180,19 @@ class TestAlphaQuadrature:
         got = bk.alpha_quadrature(J, CTX, 0.7)
         assert got == pytest.approx(ref, rel=1e-8)
 
+    def test_powerlaw_fractional_exponent_at_t0(self):
+        # alpha(0) of a sub-ohmic density: the substituted head and the
+        # plain tail, with no oscillatory weight
+        mpmath = pytest.importorskip("mpmath")
+        J = bk.PowerLaw.create(1.0, 0.5, 1.0)
+        with mpmath.workdps(30):
+            ref = float(mpmath.quad(
+                lambda w: mpmath.sqrt(w) * mpmath.e ** (-w)
+                * mpmath.coth(w / 2), [0, 1, 10, mpmath.inf]) / mpmath.pi)
+        got = bk.alpha_quadrature(J, CTX, 0.0)
+        assert got.imag == 0.0
+        assert got.real == pytest.approx(ref, rel=1e-12)
+
     def test_tabulated_finite_interval(self):
         mpmath = pytest.importorskip("mpmath")
         J = bk.Tabulated([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])

@@ -266,6 +266,24 @@ class TestAlpha:
         assert "term.1" in err
 
 
+    def test_quadrature_failure_is_one_line(self, tmp_path, capsys):
+        # a hot Meier-Tannor bath: the series never converges and the
+        # fallback's QUADPACK pass fails; SciPy's several-line text and its
+        # advice on full_output are not passed on
+        spec = write_spec(tmp_path, (
+            "[thermal]\nbeta = 0.00111\n\n[spectral_density]\nfamily = mt\n"
+            "term.1 = -0.1837, 0.05, 0\n\n[task]\npoints = 11\n"))
+        code, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 4 and out == ""
+        assert "ierlist" not in err and "full_output" not in err
+        lines = err.splitlines()
+        assert all(line.startswith("bathkit: ") for line in lines), err
+        assert lines[-1].startswith(
+            "bathkit: numerical failure: quadrature did not converge: ")
+        assert any(line.startswith("bathkit: note: series construction "
+                                   "failed") for line in lines)
+
+
 class TestFit:
     def _alpha_file(self, tmp_path):
         t = np.linspace(0.0, 8.0, 101)
@@ -290,6 +308,29 @@ class TestFit:
         assert re_w == pytest.approx(-1.0, abs=1e-6)
         assert im_w == pytest.approx(0.0, abs=1e-6)
         assert "scaled RMS" in err
+
+    def test_weights_drop_corrupted_rows(self, tmp_path, capsys):
+        # the last rows of a pure decay are corrupted; with weight 0 there
+        # the one-term fit is the exact decay
+        t = np.linspace(0.0, 5.0, 41)
+        alpha = np.exp(-t)
+        alpha[-5:] += 0.3
+        weights = np.ones_like(t)
+        weights[-5:] = 0.0
+        alpha_path, weights_path = tmp_path / "alpha.csv", tmp_path / "w.csv"
+        np.savetxt(alpha_path, np.c_[t, alpha], delimiter=",",
+                   header="t,re_alpha", comments="")
+        np.savetxt(weights_path, np.c_[t, weights], delimiter=",",
+                   header="t,weight", comments="")
+        argv = ["fit", "--alpha-file", str(alpha_path), "--kmax", "1"]
+        code, out, _ = run_cli(argv + ["--weights", str(weights_path)],
+                               capsys)
+        assert code == 0
+        _, body = parse_table(out)
+        assert float(body[0][2]) == pytest.approx(-1.0, abs=1e-9)
+        code, out, _ = run_cli(argv, capsys)
+        _, body = parse_table(out)
+        assert code == 0 and abs(float(body[0][2]) + 1.0) > 1e-2
 
     def test_repeat_byte_identical(self, tmp_path, capsys):
         # the ladder has no seed: a repeat writes the same bytes
@@ -509,6 +550,32 @@ class TestLambda:
         code, _, err = run_cli(["lambda", "--spec", spec], capsys)
         assert code == 4
         assert "diverge" in err
+
+
+    def test_tabulated_file_relative_to_spec(self, tmp_path, capsys,
+                                             monkeypatch):
+        # ``file`` is read relative to the spec's directory, not the
+        # working directory
+        data = tmp_path / "data"
+        data.mkdir()
+        omega = np.linspace(0.0, 20.0, 81)
+        j = omega * np.exp(-omega / 4.0)
+        np.savetxt(data / "table.csv", np.c_[omega, j], delimiter=",",
+                   header="omega,j", comments="")
+        body = ("[thermal]\nbeta = 1.0\n\n[spectral_density]\n"
+                "family = tabulated\nfile = table.csv\n")
+        spec = write_spec(data, body)
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(["lambda", "--spec", spec], capsys)
+        assert code == 0
+        expected = bk.reorganization_energy(bk.Tabulated(omega, j))
+        assert out == "%.17g\n" % expected
+
+        missing = write_spec(data, body.replace("table.csv", "missing.csv"),
+                             name="missing.ini")
+        code, out, err = run_cli(["lambda", "--spec", missing], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("bathkit: invalid input: spectral_density.file")
 
 
 class TestExitCodes:

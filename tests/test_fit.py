@@ -154,29 +154,22 @@ class TestSubspaceStart:
             bk.incremental_fit(bk.AlphaSamples(t, 0j * t), 2)
 
 
-class TestScalingTransform:
-    def test_round_trip(self):
-        transform = bk.ScalingTransform(t_scale=3.7, a_scale=0.021)
-        series = bk.ExponentialSeries([1.3 - 0.2j], [-0.8 + 2.5j])
-        back = transform.unscale_series(transform.scale_series(series))
-        assert back.p[0] == pytest.approx(series.p[0], rel=1e-15)
-        assert back.omega[0] == pytest.approx(series.omega[0], rel=1e-15)
-
+class TestFitExponentials:
     def test_objective_invariance(self):
-        # the scaled-problem objective, rescaled, equals the direct one
+        # the scaled-problem objective that fit_exponentials minimises
+        # (t / t_end, alpha / max|alpha|), rescaled, equals the direct one
         truth = bk.ExponentialSeries([0.02], [-0.3 + 1j])
         samples = make_samples(truth, t_end=20.0)
-        transform = bk.ScalingTransform.for_samples(samples)
-        scaled_samples = transform.scale_samples(samples)
+        t_scale, a_scale = samples.t[-1], np.max(np.abs(samples.alpha))
+        scaled_samples = bk.AlphaSamples(samples.t / t_scale,
+                                         samples.alpha / a_scale)
         trial = bk.ExponentialSeries([0.015], [-0.4 + 0.9j])
         direct = objective_residuals(_pack(trial), samples)
-        scaled = objective_residuals(
-            _pack(transform.scale_series(trial)), scaled_samples)
-        assert np.max(np.abs(scaled * transform.a_scale - direct)) \
+        scaled = objective_residuals(_pack(bk.ExponentialSeries(
+            trial.p / a_scale, trial.omega * t_scale)), scaled_samples)
+        assert np.max(np.abs(scaled * a_scale - direct)) \
             <= 1e-12 * np.max(np.abs(direct))
 
-
-class TestFitExponentials:
     def test_single_term_round_trip(self):
         samples = make_samples(bk.ExponentialSeries([1.0], [-1.0]))
         start = bk.ExponentialSeries([0.9], [-1.2])

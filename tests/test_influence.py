@@ -40,6 +40,13 @@ class TestEtaTrotter:
             alpha_m = complex(series(m * dt))
             assert abs(grid.kernel(m) / (alpha_m * dt**2) - 1.0) < 0.01
 
+    def test_corner_value_accessor(self):
+        # eta_{N,0}: the lag-N kernel (Trotter) or the stored corner (Strang)
+        trotter = bk.eta_trotter(UNIT, 0.5, 4)
+        assert trotter.value(4, 0) == trotter.kernel(4)
+        strang = bk.eta_strang(UNIT, 0.5, 4)
+        assert strang.value(4, 0) == strang.eta_N0 != strang.kernel(4)
+
     def test_lag_property_and_value_accessor(self):
         grid = bk.eta_trotter(UNIT, 0.5, 6)
         assert grid.value(4, 1) == grid.value(5, 2)

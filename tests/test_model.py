@@ -98,6 +98,12 @@ class TestEvalSpectralDensity:
             assert np.all(np.isfinite(vals))
             assert np.isrealobj(vals)
 
+    def test_rejects_what_is_not_a_density(self):
+        # a callable is not enough: J must be one of the families
+        with pytest.raises(bk.InvalidInputError,
+                           match="unknown spectral density"):
+            bk.eval_spectral_density(lambda w: w, 1.0)
+
     def test_tabulated_validation(self):
         with pytest.raises(bk.InvalidInputError):
             bk.Tabulated([], [])
@@ -140,6 +146,18 @@ SCALAR_DENSITIES = {
 # frequency and the tabulated range
 SCALAR_POINTS = np.concatenate((
     [0.0, 1e-9], np.geomspace(1e-6, 1.0, 13), np.linspace(0.05, 50.0, 97)))
+
+
+class TestFamilyCall:
+    @pytest.mark.parametrize("name", sorted(SCALAR_DENSITIES))
+    def test_scalar_gives_float(self, name):
+        # J(w) on a scalar is the float of the array evaluation
+        J = SCALAR_DENSITIES[name]
+        assert isinstance(J, bk.SpectralDensity)
+        for w in (0.0, 0.37, 40.0):
+            value = J(w, SCALAR_CTX)
+            assert type(value) is float
+            assert value == J(np.array([w]), SCALAR_CTX)[0]
 
 
 class TestScalarClosure:
