@@ -10,9 +10,10 @@ from .model import (GLDD, MeierTannor, PowerLaw, Tabulated, TGLDD,
                     SpectralDensity, ThermalContext, bose_einstein,
                     eval_spectral_density, series_eval)
 from .pade import PadeParams, Statistics, pade_bose_approx, pade_parameters
-from .bcf import (AlphaSamples, alpha_powerlaw_closed_form, alpha_quadrature,
-                  alpha_series_gldd, alpha_series_mt, alpha_series_tgldd,
-                  converge_series, polygamma, spectral_density_from_series)
+from .bcf import (AlphaSamples, alpha_grid, alpha_powerlaw_closed_form,
+                  alpha_quadrature, alpha_series_gldd, alpha_series_mt,
+                  alpha_series_tgldd, converge_series, polygamma,
+                  spectral_density_from_series)
 from .fit import (FitResult, fit_exponentials, incremental_fit,
                   objective_jacobian, objective_residuals)
 from .influence import (EtaGrid, eta_oracle, eta_strang, eta_trotter,
@@ -28,7 +29,8 @@ __all__ = [
     "ExponentialSeries", "LorentzianTerm", "PowerLawCutoff", "SpectralDensity",
     "ThermalContext", "bose_einstein", "eval_spectral_density", "series_eval",
     "PadeParams", "Statistics", "pade_bose_approx", "pade_parameters",
-    "AlphaSamples", "alpha_powerlaw_closed_form", "alpha_quadrature",
+    "AlphaSamples", "alpha_grid", "alpha_powerlaw_closed_form",
+    "alpha_quadrature",
     "alpha_series_gldd", "alpha_series_mt", "alpha_series_tgldd",
     "converge_series", "polygamma", "spectral_density_from_series",
     "FitResult", "fit_exponentials", "incremental_fit",

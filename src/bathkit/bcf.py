@@ -16,7 +16,8 @@ All routes realise the same convention
                                         - i sin(wt)] dw,
 
 and the analytic routes are validated against the quadrature route, which is
-treated as authoritative.
+treated as authoritative.  :func:`alpha_grid` computes alpha on a time grid by
+the first route that applies; it is the library form of ``bathkit alpha``.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AccuracyError, ConvergenceError, DegeneratePoleError,
-                     DivergenceError, InvalidInputError, PoleError,
-                     RangeError, UnsupportedOrderError)
+from .errors import (AccuracyError, BathkitError, ConvergenceError,
+                     DegeneratePoleError, DivergenceError, InvalidInputError,
+                     PoleError, RangeError, UnsupportedOrderError)
 from .model import (GLDD, MeierTannor, PowerLaw, SpectralDensity, TGLDD,
                     ExponentialSeries, ThermalContext, _fill_blocks, _quad,
                     _scipy_quad, series_eval)
@@ -45,6 +46,7 @@ __all__ = [
     "alpha_powerlaw_closed_form",
     "spectral_density_from_series",
     "converge_series",
+    "alpha_grid",
 ]
 
 
@@ -135,7 +137,7 @@ def alpha_quadrature(J: SpectralDensity, ctx: ThermalContext, t: float,
         Absolute tolerance.  Defaults to 1e-10 times a finite proxy for
         |alpha(0)|.  Computing that default costs one extra quadrature per
         call, so a loop over a time grid should compute it once (as
-        :func:`converge_series` does) and pass it in.
+        :func:`alpha_grid` does) and pass it in.
 
     Raises
     ------
@@ -199,6 +201,24 @@ def _alpha_quadrature_powerlaw_singular(J, t, tol, g_re, j):
     im = head(j, math.sin, math.pi * tol / 2) \
         + _quad(j, cut, np.inf, weight="sin", wvar=t, epsabs=math.pi * tol / 2)
     return complex(re, -im / math.pi)
+
+
+def _quadrature_grid(J, ctx, t_grid, tol=None, known=None):
+    """:func:`alpha_quadrature` at each time of ``t_grid``, the default
+    tolerance computed once; NaN where it raises :class:`AccuracyError`.
+    The times of ``known``, a pair of arrays (t, alpha) integrated to
+    ``tol`` such as a failed series carries, are taken from it."""
+    tol = _default_tol(J, ctx) if tol is None else tol
+    known = {} if known is None else dict(zip(known[0].tolist(),
+                                              known[1].tolist()))
+    out = np.empty(len(t_grid), dtype=complex)
+    for i, t in enumerate(np.asarray(t_grid, dtype=float).tolist()):
+        try:
+            out[i] = known[t] if t in known \
+                else alpha_quadrature(J, ctx, t, tol=tol)
+        except AccuracyError:
+            out[i] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +466,7 @@ def spectral_density_from_series(series: ExponentialSeries,
 
 
 # ---------------------------------------------------------------------------
-# convergence driver
+# convergence driver, and alpha on a time grid by the first route that applies
 # ---------------------------------------------------------------------------
 
 # converge_series' walk: from _FLOOR_ORDER on it gives up once the largest
@@ -457,6 +477,8 @@ def spectral_density_from_series(series: ExponentialSeries,
 _FLOOR_ORDER = 200
 _MAX_ORDER = 800
 _POLE_MARGIN = 16.0
+# the reference's error stays below tol * max|reference| / _REFERENCE_MARGIN
+_REFERENCE_MARGIN = 10.0
 
 
 def _series_builder_for(J):
@@ -492,31 +514,31 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     N = 800.  A cold bath, whose poles lie far above 2 pi/(beta*hbar),
     walks on past 200; a warm one stops there.
 
-    Grid points where the quadrature reference itself fails to converge
-    (e.g. t = 0 for densities with a logarithmically divergent alpha(0)) are
-    excluded from the comparison, with a warning.
+    The quadrature reference is integrated again to tol * max|reference| / 10
+    where that is finer than its default tolerance.  Grid points where it
+    fails to converge (e.g. t = 0 for densities with a logarithmically
+    divergent alpha(0)) are excluded from the comparison, with a warning.
 
     Raises
     ------
     ConvergenceError
         If the walk gives up (as for the published Meier-Tannor weights);
         carries the best error and series, and the quadrature reference
-        with its tolerance.  Also when that reference is 0 at every
-        compared time (no best error or series).
+        with the tolerance it was integrated to.  Also when that reference
+        is 0 at every compared time (no best error or series).
     """
     builder = _series_builder_for(J)
     if t_grid is None:
         t_grid = default_time_grid(ctx)
     t_grid = np.asarray(t_grid, dtype=float)
 
-    refs = np.empty(t_grid.size, dtype=complex)
-    mask = np.ones(t_grid.size, dtype=bool)
     quad_tol = _default_tol(J, ctx)
-    for i, t in enumerate(t_grid):
-        try:
-            refs[i] = alpha_quadrature(J, ctx, float(t), tol=quad_tol)
-        except AccuracyError:
-            mask[i] = False
+    refs = _quadrature_grid(J, ctx, t_grid, quad_tol)
+    needed = tol * np.nanmax(np.abs(refs), initial=0.0) / _REFERENCE_MARGIN
+    if 0.0 < needed < quad_tol:
+        quad_tol = needed
+        refs = _quadrature_grid(J, ctx, t_grid, quad_tol)
+    mask = ~np.isnan(refs)
     if not mask.any():
         raise AccuracyError("quadrature reference failed on the whole grid")
     if not mask.all():
@@ -556,3 +578,49 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
         "quadrature-sampled objectives",
         best_error=best_err, best_result=best_series,
         reference=(ts, refs), reference_tol=quad_tol)
+
+
+# each route's check, in the order "auto" tries them
+_ROUTES = {"series": _series_builder_for, "closed": _check_closed_form,
+           "quadrature": lambda J: None}
+
+
+def alpha_grid(J: SpectralDensity, ctx: ThermalContext, t_grid,
+               method: str = "auto", tol: float = 1e-6):
+    """(alpha on ``t_grid``, the method used), as ``bathkit alpha`` writes.
+
+    ``method`` is "series" (:func:`converge_series` to relative tolerance
+    ``tol``), "closed", "quadrature" or "auto", the first of these that
+    applies to J; another raises :class:`InvalidInputError`.  A series that
+    does not converge warns and falls back to quadrature, which reuses its
+    reference.  alpha(0) is real (the transform has no sine term at t = 0).
+    A time where quadrature fails is NaN.
+    """
+    for route, check in _ROUTES.items():
+        if method not in ("auto", route):
+            continue
+        try:
+            check(J)
+            break
+        except BathkitError as exc:
+            if method == route:
+                raise InvalidInputError(
+                    f"{route!r} does not apply: {exc}") from None
+    else:
+        raise InvalidInputError(f"unknown method {method!r}")
+    method, t_grid = route, np.asarray(t_grid, dtype=float)
+    if method == "closed":
+        return _fill_blocks(
+            np.empty(t_grid.size, dtype=complex),
+            lambda s: alpha_powerlaw_closed_form(J, ctx, t_grid[s])), method
+    reference = tol_ref = None
+    if method == "series":
+        try:
+            alpha = converge_series(J, ctx, tol)(t_grid)
+            alpha.imag[t_grid == 0.0] = 0.0
+            return alpha, method
+        except ConvergenceError as exc:
+            warnings.warn(f"series construction failed ({exc}); falling back "
+                          "to quadrature", stacklevel=2)
+            reference, tol_ref = exc.reference, exc.reference_tol
+    return _quadrature_grid(J, ctx, t_grid, tol_ref, reference), "quadrature"

@@ -41,7 +41,7 @@ import warnings
 import numpy as np
 
 from . import bcf, fit as fitmod, influence, model, pade
-from .errors import BathkitError, ConvergenceError, InvalidInputError
+from .errors import AccuracyError, BathkitError, InvalidInputError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -341,78 +341,29 @@ def _cmd_pade(args):
     return EXIT_OK
 
 
-def _route_error(J, method):
-    """The error that rules out ``method`` for J, or None if it applies."""
+def _alpha_grid(spec, t_grid, method="auto"):
+    """:func:`bcf.alpha_grid` of the spec, a series converged to
+    ``task.tolerance`` (default 1e-6); returns alpha, the method used, the
+    times where quadrature failed and the error that names them."""
+    J, tol = spec.require_density(), spec.task_float("tolerance", 1e-6)
     try:
-        if method == "series":
-            bcf._series_builder_for(J)
-        elif method == "closed":
-            bcf._check_closed_form(J)
-    except BathkitError as exc:
-        return exc
-    return None
-
-
-def _alpha_function(spec, method):
-    """Return (callable t_grid -> complex array, method actually used); the
-    series route converges to ``task.tolerance`` (default 1e-6)."""
-    J = spec.require_density()
-    ctx = spec.ctx
-    tol = spec.task_float("tolerance", 1e-6)
-    if method == "auto":
-        method = next((m for m in ("series", "closed")
-                       if _route_error(J, m) is None), "quadrature")
-    elif (error := _route_error(J, method)) is not None:
-        raise InvalidInputError(
-            f"--method: {method!r} does not apply: {error}")
-
-    if method == "series":
-        try:
-            series = bcf.converge_series(J, ctx, tol)
-        except ConvergenceError as exc:
-            print(f"bathkit: note: series construction failed ({exc}); "
-                  "falling back to quadrature", file=sys.stderr)
-            return _quadrature_function(J, ctx, exc.reference,
-                                        exc.reference_tol), "quadrature"
-        return series, "series"
-    if method == "closed":
-        def closed(t_grid):
-            return model._fill_blocks(
-                np.empty(len(t_grid), dtype=complex),
-                lambda s: bcf.alpha_powerlaw_closed_form(J, ctx, t_grid[s]))
-        return closed, "closed"
-    if method == "quadrature":
-        return _quadrature_function(J, ctx), "quadrature"
-    raise InvalidInputError(f"--method: unknown method {method!r}")
-
-
-def _pointwise(alpha_at):
-    """The grid function of a route that computes alpha one time at a time."""
-    return lambda t_grid: np.array([alpha_at(float(t)) for t in t_grid],
-                                   dtype=complex)
-
-
-def _quadrature_function(J, ctx, reference=None, tol=None):
-    """t_grid -> alpha by quadrature, with the default tolerance of
-    :func:`bcf.alpha_quadrature` computed once for the whole grid.
-
-    ``reference`` is a pair of arrays (t, alpha) already integrated to the
-    default tolerance ``tol``, such as a failed series carries; grid times
-    found in it are taken from it, not integrated again.
-    """
-    if tol is None:
-        tol = bcf._default_tol(J, ctx)
-    known = {} if reference is None else dict(
-        zip(reference[0].tolist(), reference[1].tolist()))
-    return _pointwise(lambda t: known[t] if t in known
-                      else bcf.alpha_quadrature(J, ctx, t, tol=tol))
+        alpha, used = bcf.alpha_grid(J, spec.ctx, t_grid, method, tol)
+    except InvalidInputError as exc:
+        if method == "auto":
+            raise
+        raise InvalidInputError(f"--method: {exc}") from None
+    failed = t_grid[np.isnan(alpha)]
+    return alpha, used, failed, AccuracyError(
+        f"quadrature failed at {failed.size} of {t_grid.size} times, first "
+        f"at t = {failed[0]:.6g}") if failed.size else None
 
 
 def _cmd_alpha(args):
     spec = ProblemSpec.load(args.spec)
     t_grid = spec.time_grid(args.tmax, args.points)
-    fn, used = _alpha_function(spec, args.method)
-    alpha = fn(t_grid)
+    alpha, used, _, failure = _alpha_grid(spec, t_grid, args.method)
+    if failure:
+        raise failure
     print(f"alpha evaluated by method: {used}", file=sys.stderr)
     _write_table(args.out, ["t", "re_alpha", "im_alpha"],
                  [("%.17g,%.17g,%.17g\n", (t_grid, alpha.real, alpha.imag))])
@@ -435,34 +386,40 @@ def _cmd_fit(args):
         raise InvalidInputError(f"{field}: K_max must be >= 1, got {kmax}")
     if args.spec is not None:
         t = spec.time_grid()
-        fn, used = _alpha_function(spec, "auto")
-        alpha = fn(t)
+        alpha, used, failed, failure = _alpha_grid(spec, t)
+        # the samples need t = 0; another failed time is left out
+        if failure and (failed[0] == 0.0 or failed.size >= t.size - 1):
+            raise failure
         print(f"fit objectives sampled by method: {used}", file=sys.stderr)
+        if failed.size:
+            print(f"bathkit: note: left out the {failed.size} time(s) where "
+                  "quadrature failed: t = "
+                  + ", ".join(f"{x:.6g}" for x in failed), file=sys.stderr)
     else:
         data = _read_input_columns(args.alpha_file, 2, "alpha-file")
         t = data[:, 0]
         alpha = data[:, 1] + (1j * data[:, 2] if data.shape[1] > 2 else 0.0)
-    if alpha[0].imag != 0.0:
-        # the exact transform has no sine term at t = 0; a residual
-        # imaginary part (a series gives the t -> 0+ limit) is
-        # representation error and is projected away
-        print("bathkit: note: dropped spurious Im(alpha(0)) = "
-              f"{alpha[0].imag:.3e} from the sampled objectives",
-              file=sys.stderr)
-        alpha[0] = alpha[0].real
+        if alpha[0].imag != 0.0:
+            # the transform has no sine term at t = 0: representation error
+            print("bathkit: note: dropped spurious Im(alpha(0)) = "
+                  f"{alpha[0].imag:.3e} from the sampled objectives",
+                  file=sys.stderr)
+            alpha[0] = alpha[0].real
+    keep = ~np.isnan(alpha)
 
     weights = None
     if args.weights is not None:
-        wdata = _read_input_columns(args.weights, 1, "weights")
-        weights = wdata[:, -1]
-    samples = bcf.AlphaSamples(t, alpha, weights)
+        weights = _read_input_columns(args.weights, 1, "weights")[:, -1]
+        if weights.shape == keep.shape:
+            weights = weights[keep]
+    samples = bcf.AlphaSamples(t[keep], alpha[keep], weights)
 
     ladder = fitmod.incremental_fit(samples, kmax)
     best = min(ladder, key=lambda r: r.rms_residual)
     unfitted = [r.series.count for r in ladder if r.iterations == 0]
     if unfitted:
         print(f"bathkit: note: the start resolves at most {unfitted[0] - 1}"
-              f" rates from {t.size} samples; K={unfitted[0]}.."
+              f" rates from {samples.t.size} samples; K={unfitted[0]}.."
               f"{unfitted[-1]} repeat the K={unfitted[0] - 1} fit padded with"
               " zero weights", file=sys.stderr)
 

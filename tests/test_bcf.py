@@ -725,14 +725,30 @@ class TestConvergeSeries:
         assert err.value.best_error is not None
         assert err.value.best_result is not None
 
-    def test_stall_carries_quadrature_reference(self):
+    @staticmethod
+    def count_quadrature_tols(monkeypatch):
+        """Record the tolerance of every ``bcf.alpha_quadrature`` call."""
+        tols = []
+        alpha_quadrature = bcf.alpha_quadrature
+
+        def counted(J, ctx, t, tol=None):
+            tols.append(tol)
+            return alpha_quadrature(J, ctx, t, tol=tol)
+
+        monkeypatch.setattr(bcf, "alpha_quadrature", counted)
+        return tols
+
+    def test_stall_carries_quadrature_reference(self, monkeypatch):
+        # a warm reference meets the comparison at the default tolerance:
+        # each time is integrated once
+        tols = self.count_quadrature_tols(monkeypatch)
         J = bk.MeierTannor([bk.LorentzianTerm(1.0, 1.0, 1.0)])
         grid = default_time_grid(CTX, 41)
         with pytest.raises(bk.ConvergenceError) as err:
             bk.converge_series(J, CTX, 1e-6, t_grid=grid)
         t, alpha = err.value.reference
         tol = err.value.reference_tol
-        assert tol == bcf._default_tol(J, CTX)
+        assert tol == bcf._default_tol(J, CTX) and tols == [tol] * 41
         np.testing.assert_array_equal(t, grid)
         for i in (0, 7, 40):
             assert alpha[i] == bk.alpha_quadrature(J, CTX, float(t[i]),
@@ -810,9 +826,13 @@ class TestConvergeSeries:
     # cold Drude-like baths: a give-up is right only where the series at
     # the give-up order misses the exact pole expansion.  With beta*hbar*gamma
     # <= 1e3, xi_200 is over 100 gamma, so the walk gives up at N = 200.
+    # The example's reference tolerance at the default, 1e-10 times the
+    # alpha(0) proxy, is 6.4e-6 of max|alpha| on the grid: the walk gave up
+    # (best error 1.4e-5) on a series right to 3e-17
     @settings(max_examples=20, deadline=None)
     @given(lam=st.floats(0.1, 2.0), beta=st.floats(1.0, 100.0),
            log_bh_gamma=st.floats(1.0, 3.0))
+    @example(lam=1.0, beta=16.0, log_bh_gamma=3.0)
     def test_no_false_give_up_on_cold_drude(self, lam, beta, log_bh_gamma):
         mpmath = pytest.importorskip("mpmath")
         J = bk.GLDD([bk.LorentzianTerm(lam, 10.0**log_bh_gamma / beta, 0.0)])
@@ -830,6 +850,37 @@ class TestConvergeSeries:
                                      grid[1:])
         assert np.max(np.abs(last(grid[1:]) - exact)) \
             > 1e-6 * np.max(np.abs(exact))
+
+    def test_reference_as_accurate_as_the_comparison(self, monkeypatch):
+        # cold Drude: the default tolerance is coarse against 1e-6 of
+        # max|alpha|, so the 41 times are integrated again at that bound
+        quadrature = bcf.alpha_quadrature
+        tols = self.count_quadrature_tols(monkeypatch)
+        J = bk.GLDD([bk.LorentzianTerm(1.0, 62.5, 0.0)])
+        ctx = bk.ThermalContext(beta=16.0)
+        grid = default_time_grid(ctx, 41)
+        with pytest.warns(UserWarning, match="excluded"):
+            series = bk.converge_series(J, ctx, 1e-6, t_grid=grid)
+        default = bcf._default_tol(J, ctx)
+        assert len(tols) == 82 and set(tols[:41]) == {default}
+        fine = tols[41]
+        assert set(tols[41:]) == {fine} and fine < default / 50
+        assert series.count - 2 <= 16
+
+        # a walk that gives up hands on the reference with the tolerance
+        # it was integrated to
+        monkeypatch.setattr(bcf, "alpha_series_gldd",
+                            lambda J, ctx, n: bk.ExponentialSeries([1.0],
+                                                                   [-1.0]))
+        with pytest.warns(UserWarning, match="excluded"), \
+                pytest.raises(bk.ConvergenceError) as err:
+            bk.converge_series(J, ctx, 1e-6, t_grid=grid)
+        t, alpha = err.value.reference
+        assert err.value.reference_tol == fine
+        assert fine == pytest.approx(1e-6 * np.max(np.abs(alpha)) / 10,
+                                     rel=1e-6)
+        assert t.size == 40
+        assert alpha[3] == quadrature(J, ctx, float(t[3]), tol=fine)
 
     def test_overflowing_weights_are_typed(self):
         # at beta = 1e-300 the approximant rates xi_k ~ 1e300 overflow the

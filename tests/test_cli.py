@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bathkit as bk
-from bathkit.cli import main
+from bathkit.cli import ProblemSpec, main
 
 
 def run_cli(argv, capsys):
@@ -179,7 +179,7 @@ class TestAlpha:
                                             terms, tol, large):
         # the CLI evaluates the converged series on the whole grid at once;
         # both the compensated (> 16 terms) and the plain sum give each point
-        # the bits of a one-point evaluation
+        # the bits of a one-point evaluation, but for the real alpha(0)
         body = "".join(f"term.{k} = {lam!r}, {gam!r}, {w0!r}\n"
                        for k, (lam, gam, w0) in enumerate(terms, start=1))
         spec = write_spec(tmp_path, (
@@ -195,6 +195,7 @@ class TestAlpha:
         assert (series.count > 16) == large
         t = np.linspace(0.0, 6.5, 201)
         alpha = [complex(series(float(ti))) for ti in t]
+        alpha[0] = complex(alpha[0].real, 0.0)
         rows = "".join("%.17g,%.17g,%.17g\n" % (ti, a.real, a.imag)
                        for ti, a in zip(t, alpha))
         assert out == "t,re_alpha,im_alpha\n" + rows
@@ -268,8 +269,9 @@ class TestAlpha:
 
     def test_quadrature_failure_is_one_line(self, tmp_path, capsys):
         # a hot Meier-Tannor bath: the series never converges and the
-        # fallback's QUADPACK pass fails; SciPy's several-line text and its
-        # advice on full_output are not passed on
+        # fallback's QUADPACK pass fails at 5 times; SciPy's several-line
+        # text and its advice on full_output are not passed on, and the one
+        # line names the count and the first failed time
         spec = write_spec(tmp_path, (
             "[thermal]\nbeta = 0.00111\n\n[spectral_density]\nfamily = mt\n"
             "term.1 = -0.1837, 0.05, 0\n\n[task]\npoints = 11\n"))
@@ -278,10 +280,168 @@ class TestAlpha:
         assert "ierlist" not in err and "full_output" not in err
         lines = err.splitlines()
         assert all(line.startswith("bathkit: ") for line in lines), err
-        assert lines[-1].startswith(
-            "bathkit: numerical failure: quadrature did not converge: ")
+        assert lines[-1] == ("bathkit: numerical failure: quadrature failed "
+                             "at 5 of 11 times, first at t = 0.000555")
         assert any(line.startswith("bathkit: note: series construction "
                                    "failed") for line in lines)
+
+
+class TestAlphaGrid:
+    """``bk.alpha_grid`` is the library form of ``bathkit alpha``."""
+
+    DENSITIES = {
+        # the two lam * gamma cancel, so alpha(0) is finite on every route
+        "gldd": ("family = gldd\nterm.1 = 0.5, 1.0, 0.5\n"
+                 "term.2 = -0.25, 2.0, 0.5\n", ("series", "quadrature")),
+        "tgldd": ("family = tgldd\nterm.1 = 0.6, 1.2, 0.5\n",
+                  ("series", "quadrature")),
+        # the series never converges and falls back to quadrature
+        "mt": ("family = mt\nterm.1 = 1.0, 1.0, 1.0\n",
+               ("series", "quadrature")),
+        "powerlaw": ("family = powerlaw\namplitude = 1.0\nexponent = 1.0\n"
+                     "cutoff = 2.0\n", ("closed", "quadrature")),
+        "tabulated": ("family = tabulated\nfile = table.csv\n",
+                      ("quadrature",)),
+    }
+
+    def spec(self, tmp_path, family):
+        (tmp_path / "table.csv").write_text("omega,j\n0,0\n1,1\n2,0\n")
+        return write_spec(tmp_path, (
+            "[thermal]\nbeta = 1.0\n\n[spectral_density]\n"
+            f"{self.DENSITIES[family][0]}\n"
+            "[task]\ntmax = 4.0\npoints = 9\ntolerance = 1e-4\n"))
+
+    @pytest.mark.filterwarnings("ignore:series construction failed")
+    @pytest.mark.parametrize("family,method", [
+        (family, method) for family, (_, methods) in DENSITIES.items()
+        for method in ("auto",) + methods])
+    def test_same_numbers_as_the_cli(self, tmp_path, capsys, family, method):
+        spec = self.spec(tmp_path, family)
+        code, out, err = run_cli(["alpha", "--spec", spec, "--method", method],
+                                 capsys)
+        assert code == 0
+        parsed = ProblemSpec.load(spec)
+        alpha, used = bk.alpha_grid(parsed.density, parsed.ctx,
+                                    np.linspace(0.0, 4.0, 9), method, 1e-4)
+        assert f"alpha evaluated by method: {used}" in err.splitlines()
+        _, body = parse_table(out)
+        written = [complex(float(re), float(im)) for _, re, im in body]
+        assert np.array_equal(written, alpha)
+        assert alpha[0].imag == 0.0
+
+    @pytest.mark.parametrize("family,method,reason", [
+        ("gldd", "closed", "covers only power-law"),
+        ("tabulated", "closed", "covers only power-law"),
+        ("powerlaw", "series", "analytic series exist only"),
+        ("tabulated", "series", "analytic series exist only"),
+        ("gldd", "pade", "unknown method"),
+    ])
+    def test_inapplicable_method_raises(self, tmp_path, family, method,
+                                        reason):
+        parsed = ProblemSpec.load(self.spec(tmp_path, family))
+        with pytest.raises(bk.InvalidInputError, match=reason):
+            bk.alpha_grid(parsed.density, parsed.ctx, [0.0, 1.0], method)
+
+    def test_quadrature_only_through_the_grid_loop(self, monkeypatch):
+        # the series' reference, its fall-back and the quadrature route
+        # all integrate in bcf._quadrature_grid
+        inside, calls = [], []
+        grid, quadrature = bk.bcf._quadrature_grid, bk.bcf.alpha_quadrature
+
+        def traced_grid(*args):
+            inside.append(True)
+            try:
+                return grid(*args)
+            finally:
+                inside.pop()
+
+        def traced_quadrature(J, ctx, t, tol=None):
+            calls.append(bool(inside))
+            return quadrature(J, ctx, t, tol)
+
+        monkeypatch.setattr(bk.bcf, "_quadrature_grid", traced_grid)
+        monkeypatch.setattr(bk.bcf, "alpha_quadrature", traced_quadrature)
+        J = bk.MeierTannor([bk.LorentzianTerm(1.0, 1.0, 1.0)])
+        ctx = bk.ThermalContext(beta=1.0)
+        # 0, 2.5 and 5 are on the reference grid, the other 4 are not
+        t = np.linspace(0.0, 5.0, 7)
+        with pytest.warns(UserWarning, match="falling back"):
+            alpha, used = bk.alpha_grid(J, ctx, t)
+        assert used == "quadrature" and len(calls) == 201 + 4
+        assert np.array_equal(bk.alpha_grid(J, ctx, t, "quadrature")[0],
+                              alpha)
+        assert len(calls) == 201 + 4 + 7 and all(calls)
+
+
+MT_ONE_FAILED_TIME_SPEC = """\
+[thermal]
+beta = 1.551647777547246
+
+[spectral_density]
+family = mt
+term.1 = 0.5663422915177295, 0.8510816308693414, 2.259722146695902
+
+[task]
+points = 101
+"""
+
+
+class TestFailedTimes:
+    """A time where quadrature fails: ``alpha`` exits 4, ``fit --spec``
+    leaves it out unless it is t = 0."""
+
+    def test_fit_leaves_out_the_one_failed_time(self, tmp_path, capsys):
+        # the Meier-Tannor series falls back to quadrature, which fails at
+        # t = 2.094724499688782 (index 27) and nowhere else
+        spec = write_spec(tmp_path, MT_ONE_FAILED_TIME_SPEC)
+        code, out, err = run_cli(["fit", "--spec", spec, "--kmax", "3"],
+                                 capsys)
+        assert code == 0
+        notes = [line for line in err.splitlines() if "left out" in line]
+        assert notes == ["bathkit: note: left out the 1 time(s) where "
+                         "quadrature failed: t = 2.09472"]
+        assert "best: K=3" in err
+        # its --weights row goes with it: unit weights fit as none do
+        weights = tmp_path / "w.csv"
+        np.savetxt(weights, np.c_[np.linspace(0.0, 5 * 1.551647777547246,
+                                              101), np.ones(101)],
+                   delimiter=",", header="t,weight", comments="")
+        code, weighted, _ = run_cli(["fit", "--spec", spec, "--kmax", "3",
+                                     "--weights", str(weights)], capsys)
+        assert code == 0 and weighted == out
+
+        code, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 4 and out == ""
+        assert err.splitlines()[-1] == (
+            "bathkit: numerical failure: quadrature failed at 1 of 101 "
+            "times, first at t = 2.09472")
+
+    @pytest.mark.parametrize("bad,code", [(0.0, 4), (1.0, 0)])
+    def test_fit_needs_alpha_at_zero(self, tmp_path, capsys, monkeypatch,
+                                     bad, code):
+        # a stretched power law takes the quadrature route
+        spec = write_spec(tmp_path, POWERLAW_SPEC + "stretching = 2.0\n\n"
+                          "[task]\ntmax = 2.0\npoints = 5\n")
+        quadrature = bk.bcf.alpha_quadrature
+
+        def failing(J, ctx, t, tol=None):
+            if t == bad:
+                raise bk.AccuracyError("quadrature did not converge: test")
+            return quadrature(J, ctx, t, tol)
+
+        monkeypatch.setattr(bk.bcf, "alpha_quadrature", failing)
+        failure = ("bathkit: numerical failure: quadrature failed at 1 of 5 "
+                   f"times, first at t = {bad:g}")
+        got, out, err = run_cli(["fit", "--spec", spec, "--kmax", "1"],
+                                capsys)
+        assert got == code
+        if code:
+            assert out == "" and err.splitlines() == [failure]
+        else:
+            assert "bathkit: note: left out the 1 time(s) where quadrature " \
+                "failed: t = 1" in err.splitlines()
+        got, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert got == 4 and err.splitlines() == [failure]
 
 
 class TestFit:
@@ -380,28 +540,32 @@ class TestFit:
         assert len(calls) == 201
 
     def test_alpha_file_from_series_route(self, tmp_path, capsys):
-        # the series route writes the t -> 0+ limit of Im alpha(0); fit
-        # --alpha-file projects it away, as fit --spec does
+        # the series route writes a real alpha(0), not the t -> 0+ limit of
+        # Im alpha, so fit --alpha-file has nothing to project away
         spec = write_spec(tmp_path, DRUDE_SPEC)
         alpha_csv = str(tmp_path / "alpha.csv")
         assert main(["alpha", "--spec", spec, "--out", alpha_csv]) == 0
         assert EXCLUDED_NOTE in capsys.readouterr().err.splitlines()
         lines = (tmp_path / "alpha.csv").read_text().splitlines()
         t0, re0, im0 = lines[1].split(",")
-        assert t0 == "0" and float(im0) != 0.0
+        assert t0 == "0" and im0 == "0"
         code, out, err = run_cli(
             ["fit", "--alpha-file", alpha_csv, "--kmax", "2"], capsys)
         assert code == 0
-        notes = [line for line in err.splitlines() if "note" in line]
-        assert notes == ["bathkit: note: dropped spurious Im(alpha(0)) = "
-                         f"{float(im0):.3e} from the sampled objectives"]
+        assert "note" not in err
 
-        projected = tmp_path / "projected.csv"
-        projected.write_text("\n".join(
-            lines[:1] + [f"0,{re0},0"] + lines[2:]) + "\n")
+        # a file written elsewhere may carry a spurious Im alpha(0): fit
+        # --alpha-file still projects it away, and says so
+        spurious = tmp_path / "spurious.csv"
+        spurious.write_text("\n".join(
+            lines[:1] + [f"0,{re0},-0.25"] + lines[2:]) + "\n")
         code, out_projected, err_projected = run_cli(
-            ["fit", "--alpha-file", str(projected), "--kmax", "2"], capsys)
-        assert code == 0 and "note" not in err_projected
+            ["fit", "--alpha-file", str(spurious), "--kmax", "2"], capsys)
+        assert code == 0
+        notes = [line for line in err_projected.splitlines()
+                 if "note" in line]
+        assert notes == ["bathkit: note: dropped spurious Im(alpha(0)) = "
+                         "-2.500e-01 from the sampled objectives"]
         assert out == out_projected
 
     def test_requires_exactly_one_source(self, tmp_path, capsys):
