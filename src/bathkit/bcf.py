@@ -203,19 +203,14 @@ def _alpha_quadrature_powerlaw_singular(J, t, tol, g_re, j):
     return complex(re, -im / math.pi)
 
 
-def _quadrature_grid(J, ctx, t_grid, tol=None, known=None):
+def _quadrature_grid(J, ctx, t_grid, tol=None):
     """:func:`alpha_quadrature` at each time of ``t_grid``, the default
-    tolerance computed once; NaN where it raises :class:`AccuracyError`.
-    The times of ``known``, a pair of arrays (t, alpha) integrated to
-    ``tol`` such as a failed series carries, are taken from it."""
+    tolerance computed once; NaN where it raises :class:`AccuracyError`."""
     tol = _default_tol(J, ctx) if tol is None else tol
-    known = {} if known is None else dict(zip(known[0].tolist(),
-                                              known[1].tolist()))
     out = np.empty(len(t_grid), dtype=complex)
     for i, t in enumerate(np.asarray(t_grid, dtype=float).tolist()):
         try:
-            out[i] = known[t] if t in known \
-                else alpha_quadrature(J, ctx, t, tol=tol)
+            out[i] = alpha_quadrature(J, ctx, t, tol=tol)
         except AccuracyError:
             out[i] = np.nan
     return out
@@ -250,7 +245,7 @@ def _pole_series(terms, ctx, n_pade, statistics, bose):
     if hit.any():
         raise DegeneratePoleError(
             f"approximant rate {xi[hit.any(axis=0)][0]} coincides with a pole "
-            "rate gamma; perturb gamma by ~1e-9 relative and retry")
+            "rate gamma")
 
     h = 2 * lam.size
     centers, gammas = np.concatenate([shift, -shift]), np.tile(gamma, 2)
@@ -303,8 +298,7 @@ def alpha_series_mt(J: MeierTannor, ctx: ThermalContext,
     fermi pole expansion of the Lorentzian sum of J's terms with
     Bose-Einstein parameters.  That is not the transform of J, whose poles
     have other residues and whose statistics factor is w (coth + 1);
-    :func:`converge_series` detects this and reports a convergence failure,
-    at which point callers fall back to quadrature-sampled objectives.
+    :func:`converge_series` detects this and reports a convergence failure.
     """
     return _pole_series(J.terms, ctx, n_pade, Statistics.BOSE_EINSTEIN,
                         False)
@@ -523,9 +517,8 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
     ------
     ConvergenceError
         If the walk gives up (as for the published Meier-Tannor weights);
-        carries the best error and series, and the quadrature reference
-        with the tolerance it was integrated to.  Also when that reference
-        is 0 at every compared time (no best error or series).
+        carries the best error and series.  Also when the quadrature
+        reference is 0 at every compared time (no best error or series).
     """
     builder = _series_builder_for(J)
     if t_grid is None:
@@ -559,8 +552,7 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
             raise ConvergenceError(
                 "the quadrature reference vanishes on the comparison grid "
                 f"[{ts[0]:.3g}, {ts[-1]:.3g}], so no relative series error "
-                "is defined; fall back to quadrature-sampled objectives",
-                reference=(ts, refs), reference_tol=quad_tol)
+                "is defined")
         err = np.max(np.abs(series_eval(series, ts) - refs)) / ref_norm
         if err <= tol:
             return series
@@ -574,14 +566,23 @@ def converge_series(J: SpectralDensity, ctx: ThermalContext, tol: float,
         n = 2 * n if n >= _FLOOR_ORDER else min(2 * n, _FLOOR_ORDER)
     raise ConvergenceError(
         f"series error {best_err:.3e} at best, above the tolerance "
-        f"{tol:.3e}, with approximant orders up to {n}; fall back to "
-        "quadrature-sampled objectives",
-        best_error=best_err, best_result=best_series,
-        reference=(ts, refs), reference_tol=quad_tol)
+        f"{tol:.3e}, with approximant orders up to {n}",
+        best_error=best_err, best_result=best_series)
+
+
+def _check_series(J):
+    """Raise unless the series route covers J, a GLDD or TGLDD: the
+    published Meier-Tannor series (:func:`alpha_series_mt`) is not J's
+    transform and never converges, so MT goes straight to quadrature."""
+    if isinstance(J, MeierTannor):
+        raise InvalidInputError(
+            "the published Meier-Tannor series is not the transform of J "
+            "and never converges; use quadrature")
+    _series_builder_for(J)
 
 
 # each route's check, in the order "auto" tries them
-_ROUTES = {"series": _series_builder_for, "closed": _check_closed_form,
+_ROUTES = {"series": _check_series, "closed": _check_closed_form,
            "quadrature": lambda J: None}
 
 
@@ -592,9 +593,10 @@ def alpha_grid(J: SpectralDensity, ctx: ThermalContext, t_grid,
     ``method`` is "series" (:func:`converge_series` to relative tolerance
     ``tol``), "closed", "quadrature" or "auto", the first of these that
     applies to J; another raises :class:`InvalidInputError`.  A series that
-    does not converge warns and falls back to quadrature, which reuses its
-    reference.  alpha(0) is real (the transform has no sine term at t = 0).
-    A time where quadrature fails is NaN.
+    does not converge, or meets a double pole (a width on an approximant
+    rate), warns and falls back to quadrature on ``t_grid``.  alpha(0) is
+    real (the transform has no sine term at t = 0).  A time where
+    quadrature fails is NaN.
     """
     for route, check in _ROUTES.items():
         if method not in ("auto", route):
@@ -613,14 +615,12 @@ def alpha_grid(J: SpectralDensity, ctx: ThermalContext, t_grid,
         return _fill_blocks(
             np.empty(t_grid.size, dtype=complex),
             lambda s: alpha_powerlaw_closed_form(J, ctx, t_grid[s])), method
-    reference = tol_ref = None
     if method == "series":
         try:
             alpha = converge_series(J, ctx, tol)(t_grid)
             alpha.imag[t_grid == 0.0] = 0.0
             return alpha, method
-        except ConvergenceError as exc:
+        except (ConvergenceError, DegeneratePoleError) as exc:
             warnings.warn(f"series construction failed ({exc}); falling back "
                           "to quadrature", stacklevel=2)
-            reference, tol_ref = exc.reference, exc.reference_tol
-    return _quadrature_grid(J, ctx, t_grid, tol_ref, reference), "quadrature"
+    return _quadrature_grid(J, ctx, t_grid), "quadrature"

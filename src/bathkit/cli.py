@@ -353,9 +353,15 @@ def _alpha_grid(spec, t_grid, method="auto"):
             raise
         raise InvalidInputError(f"--method: {exc}") from None
     failed = t_grid[np.isnan(alpha)]
+    if not failed.size:
+        return alpha, used, failed, None
+    try:  # a NaN is a default-tolerance quadrature's error: it recurs
+        bcf.alpha_quadrature(J, spec.ctx, float(failed[0]))
+    except AccuracyError as exc:
+        reason = exc
     return alpha, used, failed, AccuracyError(
         f"quadrature failed at {failed.size} of {t_grid.size} times, first "
-        f"at t = {failed[0]:.6g}") if failed.size else None
+        f"at t = {failed[0]:.6g}: {reason}")
 
 
 def _cmd_alpha(args):

@@ -51,7 +51,6 @@ class DegeneratePoleError(BathkitError):
     In a Lorentzian series that happens exactly when a term has
     omega_tilde = 0 and gamma equals an approximant rate xi_k (within 1e-12
     relative): its pole -i*gamma is then the approximant's pole -i*xi_k.
-    Callers may perturb the affected width by ~1e-9 relative and retry.
     """
 
 
@@ -59,21 +58,13 @@ class ConvergenceError(BathkitError):
     """An iterative refinement loop hit its cap before reaching tolerance.
 
     ``best_error`` records the smallest error seen; ``best_result`` the
-    corresponding object (may be ``None``).  A series that fails to converge
-    also hands on the quadrature reference it was compared with, so a caller
-    falling back to quadrature need not integrate those times again:
-    ``reference`` is the pair of arrays ``(t, alpha)`` at the grid times
-    where quadrature converged, and ``reference_tol`` the absolute tolerance
-    they were integrated to (both ``None`` when there is no reference).
+    corresponding object (may be ``None``).
     """
 
-    def __init__(self, message, best_error=None, best_result=None,
-                 reference=None, reference_tol=None):
+    def __init__(self, message, best_error=None, best_result=None):
         super().__init__(message)
         self.best_error = best_error
         self.best_result = best_result
-        self.reference = reference
-        self.reference_tol = reference_tol
 
 
 class UnsupportedOrderError(BathkitError):

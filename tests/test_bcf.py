@@ -738,7 +738,7 @@ class TestConvergeSeries:
         monkeypatch.setattr(bcf, "alpha_quadrature", counted)
         return tols
 
-    def test_stall_carries_quadrature_reference(self, monkeypatch):
+    def test_stall_integrates_each_time_once(self, monkeypatch):
         # a warm reference meets the comparison at the default tolerance:
         # each time is integrated once
         tols = self.count_quadrature_tols(monkeypatch)
@@ -746,13 +746,8 @@ class TestConvergeSeries:
         grid = default_time_grid(CTX, 41)
         with pytest.raises(bk.ConvergenceError) as err:
             bk.converge_series(J, CTX, 1e-6, t_grid=grid)
-        t, alpha = err.value.reference
-        tol = err.value.reference_tol
-        assert tol == bcf._default_tol(J, CTX) and tols == [tol] * 41
-        np.testing.assert_array_equal(t, grid)
-        for i in (0, 7, 40):
-            assert alpha[i] == bk.alpha_quadrature(J, CTX, float(t[i]),
-                                                   tol=tol)
+        assert tols == [bcf._default_tol(J, CTX)] * 41
+        assert err.value.best_error > 1e-6
 
     def test_unsupported_family(self):
         with pytest.raises(bk.InvalidInputError):
@@ -867,20 +862,26 @@ class TestConvergeSeries:
         assert set(tols[41:]) == {fine} and fine < default / 50
         assert series.count - 2 <= 16
 
-        # a walk that gives up hands on the reference with the tolerance
-        # it was integrated to
+        # a walk that gives up integrates its reference alike, and
+        # alpha_grid's fall-back integrates the grid afresh at the default
         monkeypatch.setattr(bcf, "alpha_series_gldd",
                             lambda J, ctx, n: bk.ExponentialSeries([1.0],
                                                                    [-1.0]))
         with pytest.warns(UserWarning, match="excluded"), \
-                pytest.raises(bk.ConvergenceError) as err:
+                pytest.raises(bk.ConvergenceError):
             bk.converge_series(J, ctx, 1e-6, t_grid=grid)
-        t, alpha = err.value.reference
-        assert err.value.reference_tol == fine
-        assert fine == pytest.approx(1e-6 * np.max(np.abs(alpha)) / 10,
+        assert tols[82:] == tols[:82]
+        refs = [quadrature(J, ctx, float(t), tol=fine) for t in grid[1:]]
+        assert fine == pytest.approx(1e-6 * np.max(np.abs(refs)) / 10,
                                      rel=1e-6)
-        assert t.size == 40
-        assert alpha[3] == quadrature(J, ctx, float(t[3]), tol=fine)
+        del tols[:]
+        with pytest.warns(UserWarning, match="excluded"), \
+                pytest.warns(UserWarning, match="falling back"):
+            alpha, used = bk.alpha_grid(J, ctx, grid[:5])
+        assert used == "quadrature" and len(tols) == 2 * 201 + 5
+        assert tols[-5:] == [default] * 5
+        assert np.isnan(alpha[0])
+        assert alpha[3] == quadrature(J, ctx, float(grid[3]), tol=default)
 
     def test_overflowing_weights_are_typed(self):
         # at beta = 1e-300 the approximant rates xi_k ~ 1e300 overflow the
@@ -895,10 +896,11 @@ class TestConvergeSeries:
                 pytest.raises(bk.RangeError, match="beta\\*hbar = 1e-300"):
             bk.converge_series(J, ctx, 1e-6)
 
-    def test_vanishing_reference_is_typed(self):
+    def test_vanishing_reference_is_typed(self, monkeypatch):
         # at beta = 1e300 every t > 0 of [0, 5 beta*hbar] is >= 2.5e298,
         # where the quadrature reference is 0; the relative error would
         # divide by that zero norm (a RuntimeWarning, then 'stalled at inf')
+        tols = self.count_quadrature_tols(monkeypatch)
         J = bk.GLDD([bk.LorentzianTerm(0.5, 1.0)])
         ctx = bk.ThermalContext(beta=1e300)
         with warnings.catch_warnings():
@@ -907,8 +909,8 @@ class TestConvergeSeries:
                     pytest.raises(bk.ConvergenceError,
                                   match="reference vanishes") as exc:
                 bk.converge_series(J, ctx, 1e-6)
-        ts, refs = exc.value.reference
-        assert ts.size == 200 and np.all(refs == 0)
+        # a zero reference asks for no finer tolerance
+        assert tols == [bcf._default_tol(J, ctx)] * 201
         assert exc.value.best_result is None
 
     def test_tolerance_proxy_computed_once_per_grid(self, monkeypatch):

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -210,19 +211,45 @@ class TestAlpha:
         assert len(body) == 201
         assert float(body[0][0]) == 0.0 and float(body[-1][0]) == 5.0 * 0.65
 
-    def test_stalled_series_reuses_its_reference(self, tmp_path, capsys,
-                                                 monkeypatch):
-        # the Meier-Tannor series never converges; its 201-point reference on
-        # [0, 5 beta] is the quadrature fallback's grid
+    def test_meier_tannor_takes_the_quadrature_route(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the published Meier-Tannor series never converges, so it is not
+        # tried: each of the 201 times is integrated once, with no note
         spec = write_spec(tmp_path, MT_SPEC)
         calls = count_quadratures(monkeypatch)
         code, out, err = run_cli(["alpha", "--spec", spec], capsys)
-        assert code == 0 and "falling back to quadrature" in err
-        assert len(calls) == 201
+        assert code == 0 and len(calls) == 201
+        assert err == "alpha evaluated by method: quadrature\n"
         code, pointwise, _ = run_cli(
             ["alpha", "--spec", spec, "--method", "quadrature"], capsys)
         assert code == 0 and len(calls) == 402
         assert out == pointwise
+
+    @pytest.mark.parametrize("family,terms", [
+        ("tgldd", "term.1 = 1, 3.141592653589793, 0"),
+        ("gldd", "term.1 = 0.5, 6.283185307179586, 0\n"
+                 "term.2 = -0.25, 12.566370614359172, 0"),
+    ], ids=["tgldd_pi", "gldd_2pi_4pi"])
+    def test_width_on_an_approximant_rate_falls_back(self, tmp_path, capsys,
+                                                     family, terms):
+        # gamma = (2k - 1) pi/(beta hbar) (TGLDD) or 2 k pi/(beta hbar)
+        # (GLDD) meets a pole of the Pade approximant: the double pole's
+        # t exp(-gamma t) term has no exponential series, but quadrature
+        # answers (the GLDD pair's lam * gamma cancel, so alpha(0) is finite)
+        spec = write_spec(tmp_path, (
+            f"[thermal]\nbeta = 1.0\n\n[spectral_density]\nfamily = {family}"
+            f"\n{terms}\n\n[task]\npoints = 21\n"))
+        code, out, err = run_cli(["alpha", "--spec", spec], capsys)
+        assert code == 0
+        note, used = err.splitlines()
+        assert note.startswith("bathkit: note: series construction failed "
+                               "(approximant rate ")
+        assert note.endswith("coincides with a pole rate gamma); falling "
+                             "back to quadrature")
+        assert used == "alpha evaluated by method: quadrature"
+        code, pointwise, _ = run_cli(
+            ["alpha", "--spec", spec, "--method", "quadrature"], capsys)
+        assert code == 0 and out == pointwise
 
     def test_steep_power_law_is_numerical_failure(self, tmp_path, capsys):
         spec = write_spec(tmp_path, STEEP_POWERLAW_SPEC)
@@ -268,22 +295,29 @@ class TestAlpha:
 
 
     def test_quadrature_failure_is_one_line(self, tmp_path, capsys):
-        # a hot Meier-Tannor bath: the series never converges and the
-        # fallback's QUADPACK pass fails at 5 times; SciPy's several-line
-        # text and its advice on full_output are not passed on, and the one
-        # line names the count and the first failed time
+        # a hot Meier-Tannor bath takes the quadrature route, whose QUADPACK
+        # pass fails at 5 times; SciPy's several-line text and its advice on
+        # full_output are not passed on, and the one line names the count,
+        # the first failed time and its reason
         spec = write_spec(tmp_path, (
             "[thermal]\nbeta = 0.00111\n\n[spectral_density]\nfamily = mt\n"
             "term.1 = -0.1837, 0.05, 0\n\n[task]\npoints = 11\n"))
         code, out, err = run_cli(["alpha", "--spec", spec], capsys)
         assert code == 4 and out == ""
-        assert "ierlist" not in err and "full_output" not in err
-        lines = err.splitlines()
-        assert all(line.startswith("bathkit: ") for line in lines), err
-        assert lines[-1] == ("bathkit: numerical failure: quadrature failed "
-                             "at 5 of 11 times, first at t = 0.000555")
-        assert any(line.startswith("bathkit: note: series construction "
-                                   "failed") for line in lines)
+        assert err.splitlines() == [
+            "bathkit: numerical failure: quadrature failed at 5 of 11 times, "
+            "first at t = 0.000555: quadrature did not converge: Bad "
+            "integrand behavior occurs within one or more of the cycles."]
+
+        # Drude: w J(w) tends to 2 lam gamma/pi, so alpha(0) diverges
+        spec = write_spec(tmp_path, DRUDE_SPEC)
+        code, out, err = run_cli(
+            ["alpha", "--spec", spec, "--method", "quadrature"], capsys)
+        assert code == 4 and out == ""
+        assert err.splitlines() == [
+            "bathkit: numerical failure: quadrature failed at 1 of 9 times, "
+            "first at t = 0: alpha(0) diverges logarithmically: J(w) ~ c/w "
+            "at large w with c = 0.63662"]
 
 
 class TestAlphaGrid:
@@ -295,7 +329,7 @@ class TestAlphaGrid:
                  "term.2 = -0.25, 2.0, 0.5\n", ("series", "quadrature")),
         "tgldd": ("family = tgldd\nterm.1 = 0.6, 1.2, 0.5\n",
                   ("series", "quadrature")),
-        # the series never converges and falls back to quadrature
+        # no series route: "series" exits 3 and raises alike
         "mt": ("family = mt\nterm.1 = 1.0, 1.0, 1.0\n",
                ("series", "quadrature")),
         "powerlaw": ("family = powerlaw\namplitude = 1.0\nexponent = 1.0\n"
@@ -311,7 +345,6 @@ class TestAlphaGrid:
             f"{self.DENSITIES[family][0]}\n"
             "[task]\ntmax = 4.0\npoints = 9\ntolerance = 1e-4\n"))
 
-    @pytest.mark.filterwarnings("ignore:series construction failed")
     @pytest.mark.parametrize("family,method", [
         (family, method) for family, (_, methods) in DENSITIES.items()
         for method in ("auto",) + methods])
@@ -319,8 +352,15 @@ class TestAlphaGrid:
         spec = self.spec(tmp_path, family)
         code, out, err = run_cli(["alpha", "--spec", spec, "--method", method],
                                  capsys)
-        assert code == 0
         parsed = ProblemSpec.load(spec)
+        if (family, method) == ("mt", "series"):
+            with pytest.raises(bk.InvalidInputError) as exc:
+                bk.alpha_grid(parsed.density, parsed.ctx, [0.0, 1.0], method)
+            assert code == 3 and out == ""
+            assert err == f"bathkit: invalid input: --method: {exc.value}\n"
+            assert "Meier-Tannor series is not the transform" in err
+            return
+        assert code == 0
         alpha, used = bk.alpha_grid(parsed.density, parsed.ctx,
                                     np.linspace(0.0, 4.0, 9), method, 1e-4)
         assert f"alpha evaluated by method: {used}" in err.splitlines()
@@ -344,7 +384,8 @@ class TestAlphaGrid:
 
     def test_quadrature_only_through_the_grid_loop(self, monkeypatch):
         # the series' reference, its fall-back and the quadrature route
-        # all integrate in bcf._quadrature_grid
+        # all integrate in bcf._quadrature_grid; a Meier-Tannor density
+        # takes the quadrature route
         inside, calls = [], []
         grid, quadrature = bk.bcf._quadrature_grid, bk.bcf.alpha_quadrature
 
@@ -363,14 +404,14 @@ class TestAlphaGrid:
         monkeypatch.setattr(bk.bcf, "alpha_quadrature", traced_quadrature)
         J = bk.MeierTannor([bk.LorentzianTerm(1.0, 1.0, 1.0)])
         ctx = bk.ThermalContext(beta=1.0)
-        # 0, 2.5 and 5 are on the reference grid, the other 4 are not
         t = np.linspace(0.0, 5.0, 7)
-        with pytest.warns(UserWarning, match="falling back"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             alpha, used = bk.alpha_grid(J, ctx, t)
-        assert used == "quadrature" and len(calls) == 201 + 4
+        assert used == "quadrature" and len(calls) == 7
         assert np.array_equal(bk.alpha_grid(J, ctx, t, "quadrature")[0],
                               alpha)
-        assert len(calls) == 201 + 4 + 7 and all(calls)
+        assert len(calls) == 7 + 7 and all(calls)
 
 
 MT_ONE_FAILED_TIME_SPEC = """\
@@ -391,8 +432,8 @@ class TestFailedTimes:
     leaves it out unless it is t = 0."""
 
     def test_fit_leaves_out_the_one_failed_time(self, tmp_path, capsys):
-        # the Meier-Tannor series falls back to quadrature, which fails at
-        # t = 2.094724499688782 (index 27) and nowhere else
+        # the Meier-Tannor density takes the quadrature route, which fails
+        # at t = 2.094724499688782 (index 27) and nowhere else
         spec = write_spec(tmp_path, MT_ONE_FAILED_TIME_SPEC)
         code, out, err = run_cli(["fit", "--spec", spec, "--kmax", "3"],
                                  capsys)
@@ -412,9 +453,12 @@ class TestFailedTimes:
 
         code, out, err = run_cli(["alpha", "--spec", spec], capsys)
         assert code == 4 and out == ""
-        assert err.splitlines()[-1] == (
+        assert err.splitlines() == [
             "bathkit: numerical failure: quadrature failed at 1 of 101 "
-            "times, first at t = 2.09472")
+            "times, first at t = 2.09472: quadrature did not converge: The "
+            "extrapolation table constructed for convergence acceleration "
+            "of the series formed by the integral contributions over the "
+            "cycles, does not converge to within the requested accuracy."]
 
     @pytest.mark.parametrize("bad,code", [(0.0, 4), (1.0, 0)])
     def test_fit_needs_alpha_at_zero(self, tmp_path, capsys, monkeypatch,
@@ -431,7 +475,8 @@ class TestFailedTimes:
 
         monkeypatch.setattr(bk.bcf, "alpha_quadrature", failing)
         failure = ("bathkit: numerical failure: quadrature failed at 1 of 5 "
-                   f"times, first at t = {bad:g}")
+                   f"times, first at t = {bad:g}: quadrature did not "
+                   "converge: test")
         got, out, err = run_cli(["fit", "--spec", spec, "--kmax", "1"],
                                 capsys)
         assert got == code
@@ -528,16 +573,16 @@ class TestFit:
             ["fit", "--alpha-file", str(path), "--kmax", "2"], capsys)
         assert code == 0 and "note" not in err
 
-    def test_spec_fallback_reuses_reference(self, tmp_path, capsys,
-                                            monkeypatch):
-        # 101 points on [0, 5 beta] are every other time of the stalled
-        # series' 201-point reference
+    def test_spec_on_meier_tannor_integrates_each_time_once(
+            self, tmp_path, capsys, monkeypatch):
+        # the quadrature route, with no series walk and its reference first
         spec = write_spec(tmp_path, MT_SPEC.replace("points = 201",
                                                     "points = 101"))
         calls = count_quadratures(monkeypatch)
         code, _, err = run_cli(["fit", "--spec", spec], capsys)
-        assert code == 0 and "quadrature" in err
-        assert len(calls) == 201
+        assert code == 0 and len(calls) == 101
+        assert "fit objectives sampled by method: quadrature" in err
+        assert "series" not in err
 
     def test_alpha_file_from_series_route(self, tmp_path, capsys):
         # the series route writes a real alpha(0), not the t -> 0+ limit of
